@@ -52,27 +52,26 @@ def segmented_argmax(
     maximal element (matching a sequential scan, and hence the CUDA
     thread's loop).
     """
-    values = np.asarray(values)
     lengths = np.asarray(lengths, dtype=np.int64)
-    n_seg = lengths.shape[0]
-    total = int(lengths.sum())
-    out = np.full(n_seg, -1, dtype=np.int64)
-    if total == 0:
-        return out
+    out = np.full(lengths.shape[0], -1, dtype=np.int64)
     seg = segment_ids(lengths)
-    vals = values.astype(np.float64, copy=True)
+    vals = np.asarray(values).astype(np.float64, copy=False)
+    pos = np.arange(seg.shape[0], dtype=np.int64)
     if valid is not None:
-        vals[~np.asarray(valid, dtype=bool)] = -np.inf
-    # Sort by (segment, value, -position) so the last entry of each segment
-    # group is the first-position maximum.
-    pos = np.arange(total, dtype=np.int64)
-    order = np.lexsort((-pos, vals, seg))
-    seg_sorted = seg[order]
-    last_of_seg = np.concatenate([seg_sorted[1:] != seg_sorted[:-1], [True]])
-    winners = order[last_of_seg]
-    winner_segs = seg_sorted[last_of_seg]
-    ok = np.isfinite(vals[winners])
-    out[winner_segs[ok]] = winners[ok]
+        pos = np.flatnonzero(valid)
+        seg, vals = seg[pos], vals[pos]
+    if seg.size == 0:
+        return out
+    starts = np.flatnonzero(np.concatenate(([True], seg[1:] != seg[:-1])))
+    seg_max = np.maximum.reduceat(vals, starts)
+    hit = vals == np.repeat(seg_max, np.diff(starts, append=vals.shape[0]))
+    # Elements keep their flat order, so a segment's smallest hit index is
+    # its first maximum.
+    first = np.minimum.reduceat(
+        np.where(hit, np.arange(vals.shape[0]), vals.shape[0]), starts
+    )
+    ok = np.isfinite(seg_max)
+    out[seg[starts[ok]]] = pos[first[ok]]
     return out
 
 

@@ -37,15 +37,22 @@ _DENSE_CUTOFF = 64  # below this, dense eigendecomposition is cheaper/safer
 def fiedler_vector(graph: CSRGraph, seed: int = 0) -> np.ndarray:
     """The eigenvector of the second-smallest Laplacian eigenvalue.
 
-    Disconnected graphs have a multiplicity->1 zero eigenvalue; the
-    returned vector then separates components, which is still a valid
-    (indeed ideal) bisection direction.
+    Disconnected graphs have a multiplicity->1 zero eigenvalue, whose
+    eigenvectors Lanczos picks differently from process to process; for
+    them the component labels are returned instead, a vector that
+    separates components, which is still a valid (indeed ideal)
+    bisection direction.
     """
     n = graph.num_vertices
     if n < 2:
         raise PartitioningError("Fiedler vector needs at least 2 vertices")
     a = graph.to_scipy()
     from scipy.sparse import diags
+    from scipy.sparse.csgraph import connected_components
+
+    n_comp, comp = connected_components(a, directed=False)
+    if n_comp > 1:
+        return comp.astype(np.float64)
 
     lap = diags(np.asarray(a.sum(axis=1)).ravel()) - a
     if n <= _DENSE_CUTOFF:

@@ -1,13 +1,17 @@
 """GPU refinement kernels (paper Sec. III.C).
 
-Per sub-iteration (one move direction):
+Per refinement pass:
 
-* ``uncoarsen.boundary`` — threads scan their vertices' adjacency and flag
-  boundary vertices;
-* ``uncoarsen.gain`` — boundary vertices compute their best destination
-  (max cut reduction, no source underweight / destination overweight) and
-  append requests ``(vertex, gain)`` to per-partition buffers through an
-  ``atomicAdd`` on the buffer counter ``S``;
+* ``uncoarsen.boundary_gain`` — one sweep: threads scan their vertices'
+  adjacency, flag boundary vertices and compute each one's best
+  destination for both move directions (max cut reduction, no source
+  underweight / destination overweight);
+
+then per sub-iteration (one move direction):
+
+* ``uncoarsen.request`` — boundary vertices append requests
+  ``(vertex, gain)`` to per-partition buffers through an ``atomicAdd`` on
+  the buffer counter ``S``;
 * ``uncoarsen.explore`` — launched with one thread per partition: each
   sorts its buffer by gain and commits the moves that keep its partition
   under the weight cap.
@@ -22,7 +26,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..._segments import gather_ranges
 from ...graphs.csr import CSRGraph
 from ...gpusim.atomics import atomic_append
 from ...gpusim.device import Device
@@ -61,29 +64,29 @@ def gpu_refine_level(
 
     d_buffers = dev.alloc(max(1, n), np.int64, label="refine.buffers")
     d_counters = dev.alloc(max(1, k), np.int64, label="refine.S")
+    # The boundary sweep reads every vertex's adjacency; its index arrays
+    # are the same in every pass of the level.
+    verts = np.arange(n, dtype=np.int64)
+    verts_next = verts + 1
+    arcs = np.arange(graph.num_directed_edges, dtype=np.int64)
+    deg_ops = deg.astype(np.float64)
 
     for _ in range(max_passes):
         pass_committed = 0
         # "In the first refinement kernel, the vertices in the finer graph
         # are distributed among the threads and each thread determines the
         # boundary vertices ... Then it finds the best destination
-        # partition for migration of each boundary vertex" — boundary
-        # detection AND gains happen in ONE full-graph sweep per
-        # refinement step, from the pass-start snapshot; the two direction
-        # sub-iterations only filter its requests.
-        proposals = {}
-        for direction in (+1, -1):
-            proposals[direction] = propose_moves(
-                graph, part, k, direction, pweights, max_pw, min_pw
-            )
+        # partition for migration of each boundary vertex" — one boundary
+        # sweep and one connectivity per refinement pass, from the
+        # pass-start snapshot, serve both direction sub-iterations.
+        up, down = propose_moves(graph, part, k, (+1, -1), pweights, max_pw, min_pw)
+        proposals = {+1: up, -1: down}
         with dev.kernel("uncoarsen.boundary_gain", n_threads=n_threads) as kk:
-            verts = np.arange(n, dtype=np.int64)
             kk.gather(d_csr["adjp"], verts)
-            kk.gather(d_csr["adjp"], verts + 1)
-            flat = gather_ranges(graph.adjp[:-1], deg)
-            kk.gather(d_csr["adjncy"], flat)
-            kk.gather(d_part, graph.adjncy[flat])  # neighbor labels
-            kk.compute_divergent(deg.astype(np.float64))
+            kk.gather(d_csr["adjp"], verts_next)
+            kk.gather(d_csr["adjncy"], arcs)
+            kk.gather(d_part, graph.adjncy)  # neighbor labels
+            kk.compute_divergent(deg_ops)
             bstats = proposals[+1][3]
             if bstats.boundary_size:
                 # Best-destination selection over k candidate partitions.

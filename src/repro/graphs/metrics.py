@@ -76,8 +76,8 @@ def boundary_vertices(graph: CSRGraph, part: np.ndarray) -> np.ndarray:
     src = graph.source_array()
     ext = part[src] != part[graph.adjncy]
     marks = np.zeros(graph.num_vertices, dtype=bool)
-    np.logical_or.at(marks, src[ext], True)
-    return np.where(marks)[0].astype(np.int64)
+    marks[src[ext]] = True
+    return np.flatnonzero(marks)
 
 
 def communication_volume(graph: CSRGraph, part: np.ndarray, k: int) -> int:

@@ -30,8 +30,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .._segments import segmented_argmax
 from ..graphs.csr import CSRGraph
-from ..serial.kway import kway_connectivity
+from ..graphs.metrics import boundary_vertices
+from ..serial.kway import connectivity_to, kway_connectivity
 
 __all__ = [
     "SubIterationStats",
@@ -58,71 +60,56 @@ class SubIterationStats:
     boundary_degrees: np.ndarray = field(default_factory=lambda: np.zeros(0))
 
 
+#: ``(vertices, destinations, gains, stats)`` of one sub-iteration.
+Proposal = tuple[np.ndarray, np.ndarray, np.ndarray, SubIterationStats]
+
+
 def propose_moves(
     graph: CSRGraph,
     part: np.ndarray,
     k: int,
-    direction: int,
+    direction: int | tuple[int, ...],
     pweights: np.ndarray,
     max_pweight: float,
     min_pweight: float,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, SubIterationStats]:
+) -> Proposal | list[Proposal]:
     """Compute each boundary vertex's movement request from a snapshot.
 
     Returns ``(vertices, destinations, gains, stats)`` of the proposals.
     ``direction=+1`` permits only moves to higher partition ids, ``-1``
-    only lower.
+    only lower.  Given a tuple of directions, one boundary sweep and one
+    connectivity serve them all, and the result is a list with one such
+    proposal per direction, each as if proposed alone on this snapshot.
     """
-    stats = SubIterationStats(direction=direction)
-    src = graph.source_array()
-    ext = part[src] != part[graph.adjncy]
-    bmask = np.zeros(graph.num_vertices, dtype=bool)
-    bmask[src[ext]] = True
-    boundary = np.where(bmask)[0]
-    stats.boundary_size = int(boundary.shape[0])
-    stats.edge_scans = int(graph.num_directed_edges)
-    if boundary.size == 0:
-        return (
-            np.empty(0, dtype=np.int64),
-            np.empty(0, dtype=np.int64),
-            np.empty(0, dtype=np.int64),
-            stats,
-        )
+    directions = direction if isinstance(direction, tuple) else (direction,)
+    boundary = boundary_vertices(graph, part)
     degs = (graph.adjp[boundary + 1] - graph.adjp[boundary]).astype(np.int64)
-    stats.boundary_degrees = degs
-    stats.edge_scans += int(degs.sum())
-
-    conn = kway_connectivity(graph, part, boundary, k)
+    rows, parts, weights = kway_connectivity(graph, part, boundary, k)
     own = part[boundary]
-    rows = np.arange(boundary.shape[0])
-    own_conn = conn[rows, own]
-
-    masked = conn.astype(np.float64)
-    masked[rows, own] = -np.inf
-    # Direction constraint.
-    pid = np.arange(k)
-    if direction > 0:
-        dir_ok = pid[None, :] > own[:, None]
-    else:
-        dir_ok = pid[None, :] < own[:, None]
-    masked[~dir_ok] = -np.inf
+    own_conn = connectivity_to(rows, parts, weights, own)
+    own_of_pair = own[rows]
     # Destination cap and source floor from the snapshot weights.
-    cap_ok = (pweights[None, :] + graph.vwgt[boundary][:, None]) <= max_pweight
-    masked[~cap_ok] = -np.inf
-    src_ok = (pweights[own] - graph.vwgt[boundary]) >= min_pweight
-    masked[~src_ok, :] = -np.inf
-
-    best_dest = np.argmax(masked, axis=1)
-    best_val = masked[rows, best_dest]
-    gains = best_val - own_conn
-    sel = np.isfinite(best_val) & (gains > 0)
-    stats.proposals = int(sel.sum())
-    return (
-        boundary[sel],
-        best_dest[sel].astype(np.int64),
-        gains[sel].astype(np.int64),
-        stats,
+    vw = graph.vwgt[boundary]
+    allowed = (pweights[parts] + vw[rows] <= max_pweight) & (
+        (pweights[own] - vw >= min_pweight)[rows]
     )
+    edge_scans = int(graph.num_directed_edges) + int(degs.sum())
+    lens = np.bincount(rows, minlength=boundary.shape[0])
+    proposals = []
+    for d in directions:
+        ahead = parts > own_of_pair if d > 0 else parts < own_of_pair
+        win = segmented_argmax(weights, lens, valid=allowed & ahead)
+        gains = weights[win] - own_conn
+        sel = (win >= 0) & (gains > 0)
+        stats = SubIterationStats(
+            direction=d,
+            boundary_size=int(boundary.shape[0]),
+            proposals=int(sel.sum()),
+            edge_scans=edge_scans,
+            boundary_degrees=degs,
+        )
+        proposals.append((boundary[sel], parts[win[sel]], gains[sel], stats))
+    return proposals if isinstance(direction, tuple) else proposals[0]
 
 
 def commit_moves(
@@ -207,7 +194,7 @@ def propose_balance_moves(
     k: int,
     pweights: np.ndarray,
     max_pweight: float,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, SubIterationStats]:
+) -> Proposal:
     """Balancing sub-iteration: evacuate overweight partitions.
 
     Boundary vertices of overweight partitions propose their
@@ -220,48 +207,51 @@ def propose_balance_moves(
     stats = SubIterationStats(direction=0)
     heavy = pweights > max_pweight
     if not np.any(heavy):
-        return (
-            np.empty(0, dtype=np.int64),
-            np.empty(0, dtype=np.int64),
-            np.empty(0, dtype=np.int64),
-            stats,
-        )
-    src = graph.source_array()
-    ext = part[src] != part[graph.adjncy]
-    bmask = np.zeros(graph.num_vertices, dtype=bool)
-    bmask[src[ext]] = True
-    bmask &= heavy[part]
-    boundary = np.where(bmask)[0]
-    stats.boundary_size = int(boundary.shape[0])
-    stats.edge_scans = int(graph.num_directed_edges)
-    if boundary.size == 0:
-        return (
-            np.empty(0, dtype=np.int64),
-            np.empty(0, dtype=np.int64),
-            np.empty(0, dtype=np.int64),
-            stats,
-        )
+        empty = np.empty(0, dtype=np.int64)
+        return empty, empty.copy(), empty.copy(), stats
+    boundary = boundary_vertices(graph, part)
+    boundary = boundary[heavy[part[boundary]]]
     degs = (graph.adjp[boundary + 1] - graph.adjp[boundary]).astype(np.int64)
+    stats.boundary_size = int(boundary.shape[0])
     stats.boundary_degrees = degs
-    stats.edge_scans += int(degs.sum())
+    stats.edge_scans = int(graph.num_directed_edges) + int(degs.sum())
 
-    conn = kway_connectivity(graph, part, boundary, k)
+    rows, parts, weights = kway_connectivity(graph, part, boundary, k)
     own = part[boundary]
-    rows = np.arange(boundary.shape[0])
-    own_conn = conn[rows, own]
+    vw = graph.vwgt[boundary]
     # Prefer the best-connected destination; among unconnected ones the
     # lightest (a tiny weight bias breaks the conn=0 tie), so landlocked
     # overweight partitions can still shed load.
-    masked = conn.astype(np.float64) - 1e-12 * pweights[None, :]
-    masked[rows, own] = -np.inf
-    cap_ok = (pweights[None, :] + graph.vwgt[boundary][:, None]) <= max_pweight
-    masked[~cap_ok] = -np.inf
-    best_dest = np.argmax(masked, axis=1)
-    best_val = masked[rows, best_dest]
+    bias = 1e-12 * pweights
+    values = weights - bias[parts]
+    win = segmented_argmax(
+        values, np.bincount(rows, minlength=boundary.shape[0]),
+        valid=(parts != own[rows]) & (pweights[parts] + vw[rows] <= max_pweight),
+    )
+    # A row without a valid pair (win = -1) reads the appended -1 and -inf.
+    best_dest = np.append(parts, -1)[win]
+    best_val = np.append(values, -np.inf)[win]
+    # Rows without a positive adjacent value may land in a partition they
+    # do not touch (value -bias): score those rows over all k partitions.
+    landlocked = np.flatnonzero(~(best_val > 0))
+    if landlocked.size:
+        slot = np.full(boundary.shape[0], -1, dtype=np.int64)
+        slot[landlocked] = np.arange(landlocked.size)
+        mine = slot[rows] >= 0
+        masked = np.zeros((landlocked.size, k))
+        masked[slot[rows[mine]], parts[mine]] = weights[mine]
+        masked -= bias
+        masked[slot[landlocked], own[landlocked]] = -np.inf
+        masked[pweights + vw[landlocked, None] > max_pweight] = -np.inf
+        best_dest[landlocked] = masked.argmax(axis=1)
+        best_val[landlocked] = masked.max(axis=1)
     sel = np.isfinite(best_val)
     verts = boundary[sel]
-    dests = best_dest[sel].astype(np.int64)
-    gains = (conn[rows, best_dest][sel] - own_conn[sel]).astype(np.int64)
+    dests = best_dest[sel]
+    gains = (
+        connectivity_to(rows, parts, weights, best_dest)
+        - connectivity_to(rows, parts, weights, own)
+    )[sel]
 
     # Each overweight partition only needs to shed its *excess*: keep the
     # least-damaging (highest-gain) proposals whose cumulative weight

@@ -42,6 +42,16 @@ def distributed_refine_level(
     max_pw = ubfactor * ideal
     min_pw = max(0.0, (2.0 - ubfactor) * ideal)
     pweights = np.bincount(part, weights=graph.vwgt.astype(np.float64), minlength=k)
+    # The halo and each rank's scan depend on the graph and its
+    # distribution only, never on the labels: build them once per level.
+    # Each rank scans its owned vertices' arcs plus the ghost arcs it
+    # replicates (ParMetis keeps remote endpoints duplicated), plus
+    # message pack/unpack work per halo item.
+    halo = dist.ghost_exchange_payload()
+    scan = (
+        dist.per_rank_edges() + dist.ghost_arcs_per_rank()
+        + 2.0 * np.bincount(halo[0], minlength=dist.num_ranks)
+    )
 
     for pass_i in range(max_passes):
         pass_committed = 0
@@ -65,16 +75,8 @@ def distributed_refine_level(
             )
             pass_committed += stats.committed
 
-            # Compute: each rank scans its owned vertices' arcs plus the
-            # ghost arcs it replicates (ParMetis keeps remote endpoints
-            # duplicated), plus message pack/unpack work per halo item.
-            halo_items = np.bincount(
-                dist.ghost_exchange_payload()[0], minlength=dist.num_ranks
-            ).astype(np.float64)
             mpi.compute(
-                dist.per_rank_edges() + dist.ghost_arcs_per_rank()
-                + 2.0 * halo_items,
-                detail=f"refine scan L{level_idx}",
+                scan, detail=f"refine scan L{level_idx}",
                 avg_degree=2 * graph.num_edges / max(1, graph.num_vertices),
             )
             # Movement requests: proposals owned by one rank, decided by the
@@ -87,8 +89,7 @@ def distributed_refine_level(
                     detail=f"move requests L{level_idx}",
                 )
             # Committed labels propagate along cut arcs (halo update).
-            s, d, b = dist.ghost_exchange_payload()
-            mpi.exchange(s, d, b, detail=f"halo update L{level_idx}")
+            mpi.exchange(*halo, detail=f"halo update L{level_idx}")
         cut_after = edge_cut(graph, part)
         trace.refinements.append(
             RefinementRecord(

@@ -8,6 +8,7 @@ from .gain_buckets import GainBuckets, fm_refine_bisection_buckets
 from .gggp import gggp_bisect, grow_region
 from .kway import (
     KwayPassResult,
+    connectivity_to,
     kway_connectivity,
     kway_refine,
     kway_refine_pass,
@@ -38,6 +39,7 @@ __all__ = [
     "recursive_bisection",
     "bisect_once",
     "KwayPassResult",
+    "connectivity_to",
     "kway_connectivity",
     "kway_refine",
     "kway_refine_pass",

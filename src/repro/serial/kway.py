@@ -14,11 +14,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .._segments import gather_ranges, segment_ids
+from .._segments import gather_ranges, segment_ids, segmented_argmax
 from ..graphs.csr import CSRGraph
+from ..graphs.metrics import boundary_vertices
 
 __all__ = [
     "KwayPassResult",
+    "connectivity_to",
     "kway_connectivity",
     "kway_refine_pass",
     "kway_refine",
@@ -36,15 +38,38 @@ class KwayPassResult:
 
 def kway_connectivity(
     graph: CSRGraph, part: np.ndarray, vertices: np.ndarray, k: int
-) -> np.ndarray:
-    """Dense (len(vertices), k) matrix of edge weight from each vertex to
-    each partition."""
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Edge weight from each of ``vertices`` to each partition it touches.
+
+    Returns ``(rows, parts, weights)``, one entry per (vertex, partition)
+    pair with an edge between them, sorted by row and then partition;
+    ``rows`` index ``vertices`` and a vertex without neighbors has no
+    pairs.  Each row's best pair is then ``segmented_argmax(weights,
+    np.bincount(rows, minlength=len(vertices)), valid)``, its first
+    maximum being the lowest partition id.  The sums pass through a
+    ``len(vertices) x k`` float64 table and are exact below 2**53 total
+    edge weight.
+    """
     lens = graph.adjp[vertices + 1] - graph.adjp[vertices]
     flat = gather_ranges(graph.adjp[vertices], lens)
-    rows = segment_ids(lens)
-    conn = np.zeros((vertices.shape[0], k), dtype=np.int64)
-    np.add.at(conn, (rows, part[graph.adjncy[flat]]), graph.adjwgt[flat])
-    return conn
+    sums = np.bincount(
+        segment_ids(lens) * k + part[graph.adjncy[flat]],
+        weights=graph.adjwgt[flat],
+    )
+    # Edge weights are positive, so only untouched slots are zero.
+    keys = np.flatnonzero(sums)
+    rows, parts = np.divmod(keys, k)
+    return rows, parts, sums[keys].astype(np.int64)
+
+
+def connectivity_to(
+    rows: np.ndarray, parts: np.ndarray, weights: np.ndarray, target: np.ndarray
+) -> np.ndarray:
+    """Per row, its weight to partition ``target[row]`` (0 without a pair)."""
+    hit = parts == target[rows]
+    out = np.zeros(target.shape[0], dtype=np.int64)
+    out[rows[hit]] = weights[hit]
+    return out
 
 
 def kway_refine_pass(
@@ -57,27 +82,23 @@ def kway_refine_pass(
     rng: np.random.Generator,
 ) -> KwayPassResult:
     """One refinement pass; mutates ``part`` and ``pweights`` in place."""
-    n = graph.num_vertices
-    src = graph.source_array()
-    ext = part[src] != part[graph.adjncy]
-    bmask = np.zeros(n, dtype=bool)
-    bmask[src[ext]] = True
-    boundary = np.where(bmask)[0]
+    boundary = boundary_vertices(graph, part)
     edge_scans = int(graph.num_directed_edges)
     if boundary.size == 0:
         return KwayPassResult(0, 0, 0, edge_scans)
 
-    conn = kway_connectivity(graph, part, boundary, k)
+    rows, parts, weights = kway_connectivity(graph, part, boundary, k)
     own = part[boundary]
-    own_conn = conn[np.arange(boundary.shape[0]), own]
-    masked = conn.copy()
-    masked[np.arange(boundary.shape[0]), own] = -1
-    best_dest = np.argmax(masked, axis=1)
-    best_gain = masked[np.arange(boundary.shape[0]), best_dest] - own_conn
+    # A boundary vertex touches another partition, so every row wins.
+    win = segmented_argmax(
+        weights, np.bincount(rows, minlength=boundary.shape[0]),
+        valid=parts != own[rows],
+    )
+    best_gain = weights[win] - connectivity_to(rows, parts, weights, own)
     cand = best_gain > 0
     order = np.argsort(-best_gain[cand], kind="stable")
     cand_v = boundary[cand][order]
-    cand_d = best_dest[cand][order]
+    cand_d = parts[win[cand]][order]
     edge_scans += int((graph.adjp[boundary + 1] - graph.adjp[boundary]).sum())
 
     adjp, adjncy, adjwgt, vwgt = graph.adjp, graph.adjncy, graph.adjwgt, graph.vwgt
@@ -129,13 +150,15 @@ def rebalance_pass(
         candidates = np.where(np.isin(part, heavy))[0]
         if candidates.size == 0:
             break
-        conn = kway_connectivity(graph, part, candidates, k)
+        rows, parts, weights = kway_connectivity(graph, part, candidates, k)
         own = part[candidates]
-        own_conn = conn[np.arange(candidates.shape[0]), own]
-        masked = conn.copy()
-        masked[np.arange(candidates.shape[0]), own] = -1
-        best_dest = np.argmax(masked, axis=1)
-        loss = own_conn - masked[np.arange(candidates.shape[0]), best_dest]
+        win = segmented_argmax(
+            weights, np.bincount(rows, minlength=candidates.shape[0]),
+            valid=parts != own[rows],
+        )
+        # A vertex touching no other partition (win = -1) reads the
+        # appended 0: an untouched partition has connectivity 0.
+        loss = connectivity_to(rows, parts, weights, own) - np.append(weights, 0)[win]
         order = np.argsort(loss, kind="stable")
         progressed = False
         for i in order:

@@ -1,8 +1,14 @@
 """Unit tests for the non-multilevel baselines (spectral, random, block)."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import repro
 from repro.baselines import (
     BlockPartitioner,
     RandomPartitioner,
@@ -44,6 +50,36 @@ class TestFiedler:
     def test_single_vertex_rejected(self):
         with pytest.raises(PartitioningError):
             fiedler_vector(from_edges(1, []))
+
+    def test_disconnected_gives_component_labels(self):
+        # 4 disjoint 8x10 grids: past the dense cutoff, so Lanczos would
+        # face a 4-dimensional zero eigenspace.
+        u, v, _ = grid2d(8, 10).edge_array()
+        edges = np.concatenate([np.stack([u, v], axis=1) + 80 * c for c in range(4)])
+        f = fiedler_vector(from_edges(320, edges), seed=1)
+        assert f.tolist() == np.repeat(np.arange(4.0), 80).tolist()
+
+    def test_same_partition_in_fresh_processes(self):
+        """Bisecting usa_roads@0.0005 to k = 64 meets subgraphs of over
+        a hundred components; the labels must not depend on the process."""
+        script = (
+            "import hashlib, repro\n"
+            "from repro.graphs import datasets\n"
+            "g = datasets.load_dataset('usa_roads', scale=0.0005, seed=1)\n"
+            "part = repro.partition(g, 64, method='spectral', seed=1).part\n"
+            "print(hashlib.sha256(part.astype('int64').tobytes()).hexdigest())\n"
+        )
+        src = str(Path(repro.__file__).resolve().parents[1])
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        digests = {
+            subprocess.run(
+                [sys.executable, "-c", script],
+                env=env, capture_output=True, text=True, check=True,
+            ).stdout
+            for _ in range(2)
+        }
+        assert len(digests) == 1
 
 
 class TestSpectralBisect:
