@@ -1,7 +1,7 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: check tier1 sanitize-smoke faults-smoke profile-smoke roofline-smoke overlap-smoke serve-smoke slo-smoke baseline gate report fuzz faults bench test
+.PHONY: check tier1 sanitize-smoke faults-smoke profile-smoke roofline-smoke overlap-smoke serve-smoke slo-smoke gate report fuzz faults bench test
 
 # The gate: tier-1 suite + the sanitizer, fault-injection, observability,
 # hardware-utilization, async-overlap, partition-service and SLO
@@ -65,13 +65,7 @@ slo-smoke:
 		--trace-out .slo_smoke_trace.json
 	rm -f .slo_smoke_ledger.jsonl .slo_smoke_trace.json
 
-# Perf gate: diff the profiled workload against benchmarks/BENCH_profile.json
-# (seeds the baseline on first run; --update after intentional perf changes).
-# Subsumed by `make gate`, kept for the old snapshot format.
-baseline:
-	$(PYTHON) benchmarks/baseline.py
-
-# Generalized perf-regression gate: fresh runs of the gate workload vs the
+# Perf-regression gate: fresh runs of the gate workload (repro.obs.gate) vs the
 # committed baseline ledger, under the multi-metric tolerance policy.
 # After an intentional perf change: `python -m repro gate --baseline
 # benchmarks/BENCH_ledger.jsonl --policy benchmarks/gate_policy.json --update`

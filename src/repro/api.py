@@ -17,8 +17,6 @@ synchronously, preserving the historical signature.
 
 from __future__ import annotations
 
-import warnings
-
 from .baselines.naive import BlockPartitioner, RandomPartitioner
 from .baselines.options import BlockOptions, RandomOptions, SpectralOptions
 from .baselines.spectral import SpectralPartitioner
@@ -46,7 +44,6 @@ __all__ = [
     "resolve_method",
     "resolve_options",
     "PARTITIONERS",
-    "SIMPLE_PARTITIONERS",
     "PartitionRequest",
 ]
 
@@ -77,32 +74,6 @@ _ALIASES = {
     "mt_metis": "mt-metis",
 }
 
-#: Deprecated option spellings -> the canonical cross-engine name.
-#: Accepted everywhere with a :class:`DeprecationWarning` so callers
-#: written against older per-engine spellings keep working.
-_OPTION_ALIASES = {
-    "ub_factor": "ubfactor",
-    "balance_factor": "ubfactor",
-    "rng_seed": "seed",
-    "random_seed": "seed",
-    "faultplan": "fault_plan",
-    "fault_recover": "fault_recovery",
-}
-
-
-def __getattr__(name: str):
-    # SIMPLE_PARTITIONERS was the pre-unification side table for the
-    # baselines; everything now lives in PARTITIONERS.
-    if name == "SIMPLE_PARTITIONERS":
-        warnings.warn(
-            "repro.api.SIMPLE_PARTITIONERS is deprecated: the baselines are "
-            "registered in repro.api.PARTITIONERS (with options dataclasses)",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return {key: PARTITIONERS[key][0] for key in ("spectral", "random", "block")}
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
 
 def available_methods() -> list[str]:
     """The paper methods, the background systems, then the baselines."""
@@ -119,37 +90,16 @@ def resolve_method(method: str) -> str:
     return key
 
 
-def _normalize_options(key: str, options: dict) -> dict:
-    """Map deprecated option spellings onto the canonical names."""
-    out = dict(options)
-    for legacy, canonical in _OPTION_ALIASES.items():
-        if legacy not in out:
-            continue
-        if canonical in out:
-            raise InvalidParameterError(
-                f"bad options for {key!r}: both {legacy!r} and its canonical "
-                f"name {canonical!r} were given"
-            )
-        warnings.warn(
-            f"option {legacy!r} is deprecated; use {canonical!r}",
-            DeprecationWarning,
-            stacklevel=3,
-        )
-        out[canonical] = out.pop(legacy)
-    return out
-
-
 def resolve_options(method: str, **options):
     """The method's options dataclass built from keyword overrides.
 
-    Deprecated option spellings are normalized first; unknown keys raise
-    :class:`InvalidParameterError` listing the valid ones.
+    Unknown keys raise :class:`InvalidParameterError` listing the valid
+    ones.
     """
     key = resolve_method(method)
     opts_cls = PARTITIONERS[key][1]
-    normalized = _normalize_options(key, options)
     try:
-        return opts_cls(**normalized)
+        return opts_cls(**options)
     except TypeError as exc:
         valid = ", ".join(opts_cls.__dataclass_fields__)
         raise InvalidParameterError(

@@ -4,13 +4,12 @@ These anchor the benchmark suite — any heuristic worth running must beat
 them on cut (random) while matching their balance (both are perfectly
 balanced by construction on unit weights).
 
-Like the multilevel engines, both take a frozen options dataclass
-(:class:`~repro.baselines.options.RandomOptions` /
-:class:`~repro.baselines.options.BlockOptions`), report through
-:func:`repro.obs.profile_run` / :func:`repro.obs.finish_run` (so served
-and profiled runs land in the run ledger with a config fingerprint), and
-accept ``fault_plan`` / ``fault_recovery``.  The legacy kwarg
-constructor (``RandomPartitioner(ubfactor=..., seed=...)``) still works.
+Like the multilevel engines, both are built from a frozen options
+dataclass (:class:`~repro.baselines.options.RandomOptions` /
+:class:`~repro.baselines.options.BlockOptions`) and a machine, report
+through :func:`repro.obs.profile_run` / :func:`repro.obs.finish_run` (so
+served and profiled runs land in the run ledger with a config
+fingerprint), and accept ``fault_plan`` / ``fault_recovery``.
 """
 
 from __future__ import annotations
@@ -34,30 +33,17 @@ __all__ = ["RandomPartitioner", "BlockPartitioner"]
 
 
 class _TrivialBase:
+    """A baseline built from ``(options, machine)``.  Subclasses set
+    ``name`` and ``options_class`` and either supply ``_labels`` or
+    override ``partition``."""
+
     options_class: type = None  # set by subclasses
 
-    def __init__(
-        self, options=None, machine: MachineSpec | None = None, **legacy,
-    ) -> None:
-        if legacy:
-            if options is not None:
-                raise InvalidParameterError(
-                    "pass either an options dataclass or bare kwargs, not both"
-                )
-            try:
-                options = self.options_class(**legacy)
-            except TypeError as exc:
-                valid = ", ".join(self.options_class.__dataclass_fields__)
-                raise InvalidParameterError(
-                    f"bad options for {self.name!r}: {exc}; valid options: {valid}"
-                ) from None
+    def __init__(self, options=None, machine: MachineSpec | None = None) -> None:
         if options is not None and not isinstance(options, self.options_class):
             raise InvalidParameterError(
                 f"{self.name!r} takes a {self.options_class.__name__} options "
-                f"dataclass, got {type(options).__name__}; the legacy "
-                f"positional (ubfactor, seed) constructor is gone — pass "
-                f"keyword arguments (e.g. {type(self).__name__}(ubfactor=..., "
-                f"seed=...)) or an options dataclass"
+                f"dataclass, got {type(options).__name__}"
             )
         if machine is not None and not isinstance(machine, MachineSpec):
             raise InvalidParameterError(
@@ -65,15 +51,6 @@ class _TrivialBase:
             )
         self.options = options or self.options_class()
         self.machine = machine or PAPER_MACHINE
-
-    # Legacy attribute access (pre-dataclass callers read these).
-    @property
-    def ubfactor(self) -> float:
-        return self.options.ubfactor
-
-    @property
-    def seed(self) -> int:
-        return self.options.seed
 
     def _labels(self, graph: CSRGraph, k: int) -> np.ndarray:
         raise NotImplementedError

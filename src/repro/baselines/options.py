@@ -1,12 +1,10 @@
 """Options dataclasses of the non-multilevel baselines.
 
-The multilevel engines all take a frozen options dataclass; the
-baselines historically took bare ``ubfactor``/``seed`` kwargs, which
-left them outside the one-lookup-path API (`repro.api.PARTITIONERS`),
-the options-hash config fingerprint, and the fault-injection plumbing.
-These dataclasses close that gap: every baseline now exposes the same
-canonical field set as the engines (``ubfactor``, ``seed``,
-``fault_plan``, ``fault_recovery``).
+Each carries the canonical field set every engine's options share
+(``ubfactor``, ``seed``, ``fault_plan``, ``fault_recovery``), so the
+baselines sit in the one-lookup-path API (`repro.api.PARTITIONERS`),
+the options-hash config fingerprint and the fault-injection plumbing
+like the multilevel engines.
 """
 
 from __future__ import annotations

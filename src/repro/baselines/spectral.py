@@ -24,9 +24,9 @@ from ..graphs.metrics import edge_cut, imbalance
 from ..obs.hooks import finish_run, profile_run
 from ..result import PartitionResult
 from ..runtime.clock import SimClock
-from ..runtime.machine import PAPER_MACHINE, MachineSpec
 from ..runtime.trace import Trace
 from ..serial.kway import rebalance_pass
+from .naive import _TrivialBase
 from .options import SpectralOptions
 
 __all__ = ["fiedler_vector", "spectral_bisect", "SpectralPartitioner"]
@@ -94,7 +94,7 @@ def spectral_bisect(
     return labels
 
 
-class SpectralPartitioner:
+class SpectralPartitioner(_TrivialBase):
     """Recursive spectral bisection to k parts (no multilevel, no FM).
 
     Cost model: each bisection runs Lanczos — ~``iterations`` sparse
@@ -106,60 +106,17 @@ class SpectralPartitioner:
     name = "spectral"
     options_class = SpectralOptions
 
-    def __init__(
-        self, options: SpectralOptions | None = None,
-        machine: MachineSpec | None = None, **legacy,
-    ) -> None:
-        if legacy:
-            if options is not None:
-                raise InvalidParameterError(
-                    "pass either an options dataclass or bare kwargs, not both"
-                )
-            try:
-                options = SpectralOptions(**legacy)
-            except TypeError as exc:
-                valid = ", ".join(SpectralOptions.__dataclass_fields__)
-                raise InvalidParameterError(
-                    f"bad options for 'spectral': {exc}; valid options: {valid}"
-                ) from None
-        if options is not None and not isinstance(options, SpectralOptions):
-            raise InvalidParameterError(
-                f"'spectral' takes a SpectralOptions options dataclass, got "
-                f"{type(options).__name__}; the legacy positional "
-                f"(ubfactor, seed) constructor is gone — pass keyword "
-                f"arguments (e.g. SpectralPartitioner(ubfactor=..., "
-                f"seed=...)) or an options dataclass"
-            )
-        if machine is not None and not isinstance(machine, MachineSpec):
-            raise InvalidParameterError(
-                f"machine must be a MachineSpec, got {type(machine).__name__}"
-            )
-        self.options = options or SpectralOptions()
-        self.machine = machine or PAPER_MACHINE
-
-    # Legacy attribute access (pre-dataclass callers read these).
-    @property
-    def ubfactor(self) -> float:
-        return self.options.ubfactor
-
-    @property
-    def seed(self) -> int:
-        return self.options.seed
-
-    @property
-    def lanczos_iterations(self) -> int:
-        return self.options.lanczos_iterations
-
     def partition(self, graph: CSRGraph, k: int) -> PartitionResult:
         if k < 1:
             raise InvalidParameterError(f"k must be >= 1, got {k}")
+        opts = self.options
         clock = SimClock()
         injector = attach_injector(
-            clock, self.options.fault_plan, recover=self.options.fault_recovery
+            clock, opts.fault_plan, recover=opts.fault_recovery
         )
         trace = Trace()
         profiler = profile_run(
-            clock, engine=self.name, graph=graph, k=k, options=self.options,
+            clock, engine=self.name, graph=graph, k=k, options=opts,
         )
         clock.set_phase("spectral")
         t0 = time.perf_counter()
@@ -176,14 +133,14 @@ class SpectralPartitioner:
                 part[vmap] = base + (np.arange(g.num_vertices) % kk)
                 continue
             k1 = (kk + 1) // 2
-            labels = spectral_bisect(g, fraction=k1 / kk, seed=self.seed)
+            labels = spectral_bisect(g, fraction=k1 / kk, seed=opts.seed)
             clock.charge(
                 "compute",
                 self.machine.cpu.edge_seconds(
-                    self.lanczos_iterations * g.num_directed_edges,
+                    opts.lanczos_iterations * g.num_directed_edges,
                     avg_degree=2 * g.num_edges / max(1, g.num_vertices),
                 ),
-                count=float(self.lanczos_iterations * g.num_directed_edges),
+                count=float(opts.lanczos_iterations * g.num_directed_edges),
                 detail=f"lanczos n={g.num_vertices}",
             )
             side1 = np.where(labels == 1)[0]
@@ -201,8 +158,8 @@ class SpectralPartitioner:
                 part, weights=graph.vwgt.astype(np.float64), minlength=k
             )
             ideal = graph.total_vertex_weight / k
-            if pweights.max(initial=0.0) > self.ubfactor * ideal:
-                rebalance_pass(graph, part, pweights, k, self.ubfactor * ideal)
+            if pweights.max(initial=0.0) > opts.ubfactor * ideal:
+                rebalance_pass(graph, part, pweights, k, opts.ubfactor * ideal)
                 clock.charge(
                     "compute",
                     self.machine.cpu.edge_seconds(graph.num_directed_edges),

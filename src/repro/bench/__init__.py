@@ -1,15 +1,5 @@
 """Benchmark harness: experiment runner, table/figure renderers, calibration."""
 
-from .baseline import (
-    BASELINE_SCHEMA,
-    BaselineConfig,
-    Regression,
-    collect_snapshot,
-    diff_snapshots,
-    load_snapshot,
-    render_diff,
-    write_snapshot,
-)
 from .calibrate import CALIBRATION_NOTES, ShapeCheck, check_paper_shape
 from .figures import fig5_csv, fig5_series, render_fig5
 from .profiling import Hotspot, hotspot_table, profile_partition
@@ -40,14 +30,6 @@ from .tables import (
 )
 
 __all__ = [
-    "BASELINE_SCHEMA",
-    "BaselineConfig",
-    "Regression",
-    "collect_snapshot",
-    "diff_snapshots",
-    "load_snapshot",
-    "render_diff",
-    "write_snapshot",
     "ExperimentConfig",
     "ExperimentResults",
     "MethodRun",

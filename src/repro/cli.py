@@ -44,6 +44,10 @@ Commands mirror the classic ``gpmetis`` binary plus this repo's extras:
   timeline, emit plan files, or ``--self-check`` the recovery machinery
   (a full fault plan must survive with a valid, ``degraded`` partition,
   and the same plan must crash once recovery is disabled).
+
+A library error (:class:`~repro.exceptions.ReproError`, e.g. a malformed
+graph file) ends any command with ``error: <message>`` on stderr and
+exit status 2.
 """
 
 from __future__ import annotations
@@ -63,6 +67,7 @@ from .bench import (
     render_table3,
     run_experiment,
 )
+from .exceptions import ReproError
 from .graphs import (
     PAPER_DATASETS,
     evaluate_partition,
@@ -896,8 +901,7 @@ def _cmd_gate(args) -> int:
             return 2
         print(f"current: {len(current)} recorded run(s) from {args.current}")
     else:
-        print("collecting the standard gate workload "
-              "(see repro.bench.baseline.BaselineConfig)...")
+        print("collecting the standard gate workload (see repro.obs.gate)...")
         current = collect_workload_records()
 
     baseline_path = pathlib.Path(args.baseline)
@@ -1088,7 +1092,6 @@ def _cmd_sanitize(args) -> int:
 
 
 def _cmd_faults(args) -> int:
-    from .exceptions import ReproError
     from .obs import ledger as ledger_mod
 
     plan, err = _select_fault_plan(args)
@@ -1148,7 +1151,6 @@ def _faults_self_check(args) -> int:
     import os
     import tempfile
 
-    from .exceptions import ReproError
     from .faults import FaultPlan
     from .graphs.metrics import imbalance as imbalance_of
     from .obs import ledger as ledger_mod
@@ -1248,9 +1250,8 @@ def _cmd_roofline(args) -> int:
             return 1
         section = record.get("hw")
         if section is None:
-            print(f"record {record['run_id']} carries no hw block "
-                  f"(schema {record['schema']}); re-run it under the "
-                  "current code", file=sys.stderr)
+            print(f"record {record['run_id']} carries no hw block",
+                  file=sys.stderr)
             return 1
         cfg = record["config"]
         header = (f"run {record['run_id']}: {cfg['engine']} on "
@@ -1351,7 +1352,11 @@ def main(argv=None) -> int:
         "roofline": _cmd_roofline,
         "serve": _cmd_serve,
     }[args.command]
-    return handler(args)
+    try:
+        return handler(args)
+    except ReproError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -44,6 +44,17 @@ def _open_text(path_or_file, mode: str = "r"):
     return open(path_or_file, mode), True
 
 
+def _parse_int(token: str, what: str, minimum: int | None = None) -> int:
+    """``int(token)``, or a :class:`GraphFormatError` naming ``what``."""
+    try:
+        value = int(token)
+    except ValueError:
+        raise GraphFormatError(f"{what}: {token!r} is not an integer") from None
+    if minimum is not None and value < minimum:
+        raise GraphFormatError(f"{what}: {value} is below {minimum}")
+    return value
+
+
 # ----------------------------------------------------------------------
 # Metis .graph
 # ----------------------------------------------------------------------
@@ -63,11 +74,15 @@ def read_metis(path_or_file, name: str | None = None) -> CSRGraph:
         fields = header.split()
         if len(fields) < 2:
             raise GraphFormatError(f"bad Metis header: {header!r}")
-        n, m = int(fields[0]), int(fields[1])
+        n = _parse_int(fields[0], "Metis header vertex count", minimum=0)
+        m = _parse_int(fields[1], "Metis header edge count", minimum=0)
         fmt = fields[2] if len(fields) >= 3 else "000"
         fmt = fmt.zfill(3)
         has_vsize, has_vwgt, has_ewgt = fmt[0] == "1", fmt[1] == "1", fmt[2] == "1"
-        ncon = int(fields[3]) if len(fields) >= 4 else (1 if has_vwgt else 0)
+        ncon = (
+            _parse_int(fields[3], "Metis header ncon", minimum=1)
+            if len(fields) >= 4 else (1 if has_vwgt else 0)
+        )
 
         srcs: list[np.ndarray] = []
         dsts: list[np.ndarray] = []
@@ -82,9 +97,12 @@ def read_metis(path_or_file, name: str | None = None) -> CSRGraph:
                 if line:
                     raise GraphFormatError("more vertex lines than header n")
                 continue
-            tok = (
-                np.array(line.split(), dtype=np.int64) if line else np.empty(0, np.int64)
-            )
+            try:
+                tok = np.array(line.split(), dtype=np.int64)
+            except (ValueError, OverflowError):
+                raise GraphFormatError(
+                    f"vertex {v + 1}: non-integer token in {line!r}"
+                ) from None
             pos = 0
             if has_vsize:
                 pos += 1  # vertex size (communication volume) — ignored
@@ -182,16 +200,16 @@ def read_dimacs9(path_or_file, name: str | None = None) -> CSRGraph:
                 tok = line.split()
                 if len(tok) < 4 or tok[1] != "sp":
                     raise GraphFormatError(f"bad problem line: {line!r}")
-                n = int(tok[2])
+                n = _parse_int(tok[2], "problem line vertex count", minimum=0)
             elif line.startswith("a"):
                 if n is None:
                     raise GraphFormatError("arc line before problem line")
                 tok = line.split()
                 if len(tok) != 4:
                     raise GraphFormatError(f"bad arc line: {line!r}")
-                us.append(int(tok[1]) - 1)
-                vs.append(int(tok[2]) - 1)
-                ws.append(int(tok[3]))
+                us.append(_parse_int(tok[1], "arc tail") - 1)
+                vs.append(_parse_int(tok[2], "arc head") - 1)
+                ws.append(_parse_int(tok[3], "arc weight"))
             else:
                 raise GraphFormatError(f"unrecognized line: {line!r}")
         if n is None:

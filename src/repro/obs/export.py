@@ -5,8 +5,8 @@ Three formats:
 * :func:`chrome_trace` — Chrome trace-event JSON (the ``traceEvents``
   array format).  Load it at ``chrome://tracing`` or https://ui.perfetto.dev
   to see the run -> phase -> level -> kernel waterfall over simulated time.
-* :func:`metrics_json` — a flat, diff-friendly metrics document; the
-  perf-baseline harness snapshots and compares these.
+* :func:`metrics_json` — a flat, diff-friendly metrics document; every
+  run-ledger record is built from one.
 * :func:`render_tree` — ASCII span tree with durations and percent
   shares; when a :class:`~repro.runtime.trace.Trace` is attached it
   appends the coarsening funnel / refinement / sanitizer sections, so it

@@ -1,13 +1,11 @@
-"""Generalized regression gate over ledger records.
+"""The perf-regression gate over ledger records.
 
-The PR-2 perf gate (``benchmarks/baseline.py``) hard-codes one check —
-per-phase modeled seconds plus the cut, at one tolerance.  This module
-generalizes it: tolerances for *any* gated quantity (per-phase seconds,
-total, edge cut, imbalance, any scalar metric such as PCIe bytes or the
-matching conflict rate) are declared in one schema-validated policy
-file, evaluated between a committed baseline ledger and a freshly
-collected (or separately recorded) current ledger, and any violation
-makes the gate exit non-zero.
+Tolerances for any gated quantity (per-phase seconds, total, edge cut,
+imbalance, any scalar metric such as PCIe bytes or the matching
+conflict rate) are declared in one schema-validated policy file,
+evaluated between a committed baseline ledger and a freshly collected
+(or separately recorded) current ledger, and any violation makes the
+gate exit non-zero.
 
 Policy file (schema ``repro.obs.gate-policy/1``)::
 
@@ -61,11 +59,15 @@ __all__ = [
     "evaluate_gate",
     "render_gate",
     "collect_workload_records",
+    "GATE_GRAPH_N",
+    "GATE_K",
+    "GATE_SEED",
+    "GATE_METHODS",
     "GATE_PAPER_SCALES",
 ]
 
-#: The policy the gate falls back to when none is given: the PR-2
-#: baseline semantics (phases + total + cut at 10 %), generalized.
+#: The policy the gate falls back to when none is given: phases, total
+#: and cut at 10 %.
 DEFAULT_POLICY: dict = {
     "schema": GATE_POLICY_SCHEMA,
     "rules": [
@@ -272,6 +274,18 @@ def render_gate(
 
 
 # ----------------------------------------------------------------------
+#: The gate's core workload: one Delaunay mesh of ``GATE_GRAPH_N``
+#: vertices cut into ``GATE_K`` parts by each of ``GATE_METHODS`` (method
+#: -> option overrides), all at ``GATE_SEED``.  gp-metis lowers its GPU
+#: threshold so this small mesh's coarse levels still run on the device.
+GATE_GRAPH_N = 6000
+GATE_K = 16
+GATE_SEED = 7
+GATE_METHODS: dict[str, dict] = {
+    "gp-metis": {"gpu_threshold_min": 2048},
+    "mt-metis": {},
+}
+
 #: The gate's paper-dataset sweep: gp-metis on all four Table I analogue
 #: graphs at CI-sized scales.  These are the records the async-streams
 #: rules (scoped ``metric:hw.pcie.exposed_seconds`` / ``total``) gate —
@@ -284,46 +298,38 @@ GATE_PAPER_SCALES: dict[str, float] = {
 }
 
 
-def collect_workload_records(config=None) -> list[dict]:
+def collect_workload_records() -> list[dict]:
     """Freshly profile the standard gate workload into ledger records.
 
-    Reuses the PR-2 :class:`~repro.bench.baseline.BaselineConfig`
-    workload (the same graphs/methods the old gate snapshotted), but
-    records full ledger records so every policy quantity is gateable.
-    On top of that come one gp-metis run per Table I analogue dataset
-    (``GATE_PAPER_SCALES``) — the workload the paper's end-to-end claim
-    and the async-streams overlap win are asserted on — and one
-    ``engine="service"`` record covering the concurrent partition
-    service (a fixed mixed workload on a 4-worker pool), so
-    ``metric:service.*`` rules gate throughput, latency percentiles and
-    cache behaviour alongside the engine runs.
+    The core workload (``GATE_METHODS`` on the Delaunay mesh), then one
+    gp-metis run per Table I analogue dataset (``GATE_PAPER_SCALES``) —
+    the workload the paper's end-to-end claim and the async-streams
+    overlap win are asserted on — and one ``engine="service"`` record
+    covering the concurrent partition service (a fixed mixed workload
+    on a 4-worker pool), so ``metric:service.*`` rules gate throughput,
+    latency percentiles and cache behaviour alongside the engine runs.
     """
-    # Imported lazily: repro.bench pulls in repro.api (and with it every
-    # engine), which itself imports repro.obs.
+    # Imported lazily: repro.api pulls in every engine, which itself
+    # imports repro.obs.
     from ..api import partition
-    from ..bench.baseline import BaselineConfig
     from ..graphs.datasets import PAPER_DATASETS
+    from ..graphs.generators import delaunay
     from .ledger import ledger_record
 
-    config = config or BaselineConfig()
-    graph = config.make_graph()
-    records: list[dict] = []
-    for method in config.methods:
-        opts = dict(config.options.get(method, {}))
-        result = partition(graph, config.k, method=method, seed=config.seed, **opts)
-        profiler = result.profiler
-        if profiler is None:
-            raise RuntimeError(f"method {method!r} did not attach a profiler")
-        records.append(ledger_record(profiler))
-    for name, scale in GATE_PAPER_SCALES.items():
-        ds_graph = PAPER_DATASETS[name].build(scale=scale, seed=config.seed)
+    def record(graph, method: str) -> dict:
         result = partition(
-            ds_graph, config.k, method="gp-metis", seed=config.seed,
-            gpu_threshold_min=2048,
+            graph, GATE_K, method=method, seed=GATE_SEED, **GATE_METHODS[method]
         )
         if result.profiler is None:
-            raise RuntimeError("gp-metis did not attach a profiler")
-        records.append(ledger_record(result.profiler))
+            raise RuntimeError(f"method {method!r} did not attach a profiler")
+        return ledger_record(result.profiler)
+
+    mesh = delaunay(GATE_GRAPH_N, seed=GATE_SEED)
+    records = [record(mesh, method) for method in GATE_METHODS]
+    records += [
+        record(PAPER_DATASETS[name].build(scale=scale, seed=GATE_SEED), "gp-metis")
+        for name, scale in GATE_PAPER_SCALES.items()
+    ]
     records.append(_service_workload_record())
     return records
 

@@ -3,7 +3,7 @@
 Every partitioner run aggregates the quantities the paper argues about —
 matching conflict rate, coalescing efficiency, refinement commit ratio,
 PCIe traffic — into one :class:`MetricsRegistry` so exporters and the
-perf-baseline harness read them from a single place instead of re-mining
+run ledger read them from a single place instead of re-mining
 ``Trace``/``DeviceStats``/``SimClock``.
 
 Metrics are named ``family.quantity`` and may carry labels (notably

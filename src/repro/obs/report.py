@@ -13,8 +13,8 @@ from a file:// URL — with the paper's comparative shape:
   the way longitudinal partitioner engineering needs them to be;
 * the Hardware page (records with an ``hw`` block): a roofline scatter
   of every kernel, per-phase GPU/PCIe/CPU utilization timelines, and a
-  bound-ness/utilization summary per configuration — with a graceful
-  note when the ledger predates the hw schema.
+  bound-ness/utilization summary per configuration — with a note when
+  no record carries one.
 
 Colors follow the entity: each phase name and each configuration keeps
 one palette slot for the whole page, assigned in first-appearance
@@ -487,9 +487,8 @@ def _hw_section(records: list[dict], series_slots: _SlotMap) -> str:
     hw_recs = _hw_records(records)
     if not hw_recs:
         return (
-            "<p class='muted'>No hardware data — these records predate "
-            "the hw block (schema repro.obs.ledger/2). Re-profile under "
-            "the current code to populate this page.</p>"
+            "<p class='muted'>No hardware data — no record in this ledger "
+            "carries an hw block.</p>"
         )
     return (
         f"<h3>Roofline (all kernels, latest run per configuration)</h3>"

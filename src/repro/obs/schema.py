@@ -1,7 +1,7 @@
 """Structural validation of the exported JSON documents.
 
 Pure-Python checks (no jsonschema dependency): ``make profile-smoke``
-and the baseline harness call these so a malformed export fails loudly
+and the run ledger call these so a malformed export fails loudly
 instead of silently producing a trace Perfetto cannot open.
 """
 
@@ -11,7 +11,6 @@ from .export import CHROME_TRACE_SCHEMA, METRICS_SCHEMA
 
 __all__ = [
     "LEDGER_SCHEMA",
-    "LEDGER_SCHEMAS_ACCEPTED",
     "GATE_POLICY_SCHEMA",
     "SLO_POLICY_SCHEMA",
     "SchemaError",
@@ -23,10 +22,9 @@ __all__ = [
 ]
 
 #: Schema tag of one run-ledger JSONL record (see repro.obs.ledger).
-#: /2 added the optional hardware-utilization block (``hw``); /1 records
-#: (no hw data) still validate so committed ledgers stay readable.
+#: The hardware-utilization block (``hw``) is optional: bare profilers
+#: compute none.
 LEDGER_SCHEMA = "repro.obs.ledger/2"
-LEDGER_SCHEMAS_ACCEPTED = ("repro.obs.ledger/1", "repro.obs.ledger/2")
 #: Schema tag of a regression-gate policy file (see repro.obs.gate).
 GATE_POLICY_SCHEMA = "repro.obs.gate-policy/1"
 #: Schema tag of a service-level-objective policy file (see repro.obs.slo).
@@ -145,8 +143,8 @@ def validate_ledger_record(doc: dict) -> None:
     """Check one :mod:`repro.obs.ledger` JSONL record."""
     _require(isinstance(doc, dict), "ledger record must be an object")
     _require(
-        doc.get("schema") in LEDGER_SCHEMAS_ACCEPTED,
-        f"schema must be one of {LEDGER_SCHEMAS_ACCEPTED}, got {doc.get('schema')!r}",
+        doc.get("schema") == LEDGER_SCHEMA,
+        f"schema must be {LEDGER_SCHEMA!r}, got {doc.get('schema')!r}",
     )
     for key in ("run_id", "fingerprint"):
         _require(
@@ -178,7 +176,7 @@ def validate_ledger_record(doc: dict) -> None:
     _require(isinstance(metrics, dict), "ledger record missing metrics block")
     for kind in ("counters", "gauges", "histograms"):
         _require(isinstance(metrics.get(kind), dict), f"metrics missing {kind!r}")
-    if doc.get("schema") != "repro.obs.ledger/1" and "hw" in doc:
+    if "hw" in doc:
         from .hw import validate_hw_section
 
         try:

@@ -64,6 +64,19 @@ class TestMetisFormat:
         with pytest.raises(GraphFormatError, match="odd"):
             read_metis(io.StringIO("2 1 001\n2\n1 7\n"))
 
+    @pytest.mark.parametrize(
+        "text,match",
+        [("abc 3\n", "vertex count: 'abc'"),
+         ("2 1\n2 x\n1\n", "vertex 1: non-integer"),
+         ("2 1\n2.5\n1\n", "vertex 1: non-integer"),
+         ("2 1 011 x\n5 2 7\n6 1 7\n", "ncon: 'x'"),
+         ("-1 0\n", "vertex count: -1")],
+        ids=["header", "vertex-token", "vertex-float", "ncon", "negative-n"],
+    )
+    def test_malformed_numbers(self, text, match):
+        with pytest.raises(GraphFormatError, match=match):
+            read_metis(io.StringIO(text))
+
     def test_roundtrip_unweighted(self, grid, tmp_path):
         p = tmp_path / "g.graph"
         write_metis(grid, p)
@@ -109,6 +122,17 @@ class TestDimacs9Format:
     def test_unknown_line(self):
         with pytest.raises(GraphFormatError, match="unrecognized"):
             read_dimacs9(io.StringIO("p sp 2 1\nz 1 2\n"))
+
+    @pytest.mark.parametrize(
+        "text,match",
+        [("p sp x 3\n", "vertex count: 'x'"),
+         ("p sp 2 1\na 1 b 3\n", "arc head: 'b'"),
+         ("p sp -2 1\n", "vertex count: -2")],
+        ids=["problem-token", "arc-token", "negative-n"],
+    )
+    def test_malformed_numbers(self, text, match):
+        with pytest.raises(GraphFormatError, match=match):
+            read_dimacs9(io.StringIO(text))
 
     def test_roundtrip(self, weighted_graph, tmp_path):
         p = tmp_path / "g.gr"

@@ -181,7 +181,7 @@ class TestEvaluate:
 
 
 class TestCliGate:
-    def test_tampered_baseline_fails_gate(self, tmp_path):
+    def test_tampered_baseline_fails_gate(self, tmp_path, capsys):
         """End-to-end: the committed ledger + policy, one phase made faster
         in the baseline so the live run looks regressed."""
         from repro.cli import main
@@ -205,3 +205,26 @@ class TestCliGate:
             ]
         )
         assert rc == 1
+        # The live workload must still be the one the ledger recorded:
+        # every baseline run matched, with its configuration unchanged.
+        out = capsys.readouterr().out
+        assert "config fingerprint changed" not in out
+        assert "baseline unmatched" not in out
+
+
+@pytest.mark.bench
+class TestCollectWorkload:
+    """Full gate-workload collection twice — slow, excluded from tier-1
+    (make bench)."""
+
+    def test_collect_is_deterministic(self):
+        from repro.obs import collect_workload_records
+
+        def strip(records):
+            return [{k: v for k, v in r.items() if k != "written_at"}
+                    for r in records]
+
+        first = strip(collect_workload_records())
+        assert first == strip(collect_workload_records())
+        # The gate joins on match_key; a shared key would hide a run.
+        assert len({match_key(r) for r in first}) == len(first)

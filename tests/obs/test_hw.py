@@ -205,9 +205,11 @@ class TestSchemaValidation:
         with pytest.raises(SchemaError):
             validate_ledger_record(broken)
 
-    def test_v1_records_still_accepted(self, graph, tmp_path):
+    def test_v1_records_rejected(self, graph, tmp_path):
+        import json
+
         from repro.obs import ledger as ledger_mod
-        from repro.obs.schema import validate_ledger_record
+        from repro.obs.schema import SchemaError
 
         path = tmp_path / "runs.jsonl"
         ledger_mod.set_default_ledger(path)
@@ -218,7 +220,10 @@ class TestSchemaValidation:
         record = ledger_mod.read_ledger(path)[-1]
         record.pop("hw")
         record["schema"] = "repro.obs.ledger/1"
-        validate_ledger_record(record)  # backward compatible
+        old = tmp_path / "old.jsonl"
+        old.write_text(json.dumps(record) + "\n")
+        with pytest.raises(SchemaError, match="repro.obs.ledger/2"):
+            ledger_mod.read_ledger(old)
 
 
 class TestMachineArgument:

@@ -84,8 +84,8 @@ class TestHtmlReport:
 
 class TestHardwareSection:
     def test_fallback_when_records_predate_hw(self):
-        # build_record makes schema/1-style records without an hw block:
-        # the page must say so rather than render an empty chart.
+        # build_record's bare profilers compute no hw block: the page
+        # must say so rather than render an empty chart.
         html = html_report(sample_records())
         assert "<h2>Hardware</h2>" in html
         assert "No hardware data" in html

@@ -1,4 +1,4 @@
-"""Unified engine API: one registry, normalized options, compat shims."""
+"""Unified engine API: one registry, one set of canonical option names."""
 
 from __future__ import annotations
 
@@ -54,26 +54,13 @@ class TestRegistry:
 
 class TestOptionAliases:
     @pytest.mark.parametrize(
-        "legacy,canonical,value",
-        [("ub_factor", "ubfactor", 1.1),
-         ("balance_factor", "ubfactor", 1.2),
-         ("rng_seed", "seed", 7),
-         ("random_seed", "seed", 9),
-         ("fault_recover", "fault_recovery", False)],
+        "spelling",
+        ["ub_factor", "balance_factor", "rng_seed", "random_seed",
+         "faultplan", "fault_recover"],
     )
-    def test_legacy_spelling_warns_and_maps(self, legacy, canonical, value):
-        with pytest.warns(DeprecationWarning, match=legacy):
-            opts = resolve_options("gp-metis", **{legacy: value})
-        assert getattr(opts, canonical) == value
-
-    def test_alias_conflicts_with_canonical(self):
-        with pytest.raises(InvalidParameterError, match="canonical"):
-            resolve_options("metis", ub_factor=1.1, ubfactor=1.2)
-
-    def test_aliases_work_for_baselines_too(self):
-        with pytest.warns(DeprecationWarning):
-            opts = resolve_options("random", rng_seed=5)
-        assert opts.seed == 5
+    def test_only_canonical_names_accepted(self, spelling):
+        with pytest.raises(InvalidParameterError, match="valid options: .*ubfactor"):
+            resolve_options("gp-metis", **{spelling: 1})
 
     def test_unknown_option_lists_valid_fields(self):
         with pytest.raises(InvalidParameterError, match="valid options"):
@@ -81,13 +68,6 @@ class TestOptionAliases:
 
 
 class TestDeprecatedSurface:
-    def test_simple_partitioners_alias_warns(self):
-        with pytest.warns(DeprecationWarning, match="SIMPLE_PARTITIONERS"):
-            table = api.SIMPLE_PARTITIONERS
-        assert set(table) == {"spectral", "random", "block"}
-        for key, cls in table.items():
-            assert cls is PARTITIONERS[key][0]
-
     def test_other_attributes_still_raise(self):
         with pytest.raises(AttributeError):
             api.NOT_A_THING

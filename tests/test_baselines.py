@@ -11,7 +11,9 @@ import pytest
 import repro
 from repro.baselines import (
     BlockPartitioner,
+    RandomOptions,
     RandomPartitioner,
+    SpectralOptions,
     SpectralPartitioner,
     fiedler_vector,
     spectral_bisect,
@@ -125,7 +127,7 @@ class TestSpectralPartitioner:
 
     def test_invalid(self, grid):
         with pytest.raises(InvalidParameterError):
-            SpectralPartitioner(ubfactor=0.5)
+            SpectralPartitioner(SpectralOptions(ubfactor=0.5))
         with pytest.raises(InvalidParameterError):
             SpectralPartitioner().partition(grid, 0)
 
@@ -136,8 +138,8 @@ class TestTrivialBaselines:
         validate_partition(medium_graph, res.part, 8, ubfactor=1.02)
 
     def test_random_seed_changes_labels(self, grid):
-        a = RandomPartitioner(seed=1).partition(grid, 4).part
-        b = RandomPartitioner(seed=2).partition(grid, 4).part
+        a = RandomPartitioner(RandomOptions(seed=1)).partition(grid, 4).part
+        b = RandomPartitioner(RandomOptions(seed=2)).partition(grid, 4).part
         assert not np.array_equal(a, b)
 
     def test_block_contiguous(self, grid):
@@ -165,3 +167,5 @@ class TestTrivialBaselines:
                 cls(1.05)
             with pytest.raises(InvalidParameterError, match="MachineSpec"):
                 cls(None, 7)
+            with pytest.raises(TypeError):
+                cls(ubfactor=1.05)

@@ -1,15 +1,21 @@
-"""CLI tests for the ``faults`` command and ledger error hardening.
+"""CLI tests for the ``faults`` command and input error hardening.
 
-Covers the PR's satellite hardening pass: ``repro gate`` and ``repro
-compare`` must fail with exit 2 and an ``error:`` line on stderr for
-malformed or empty ledger input (not a traceback), and the ``faults``
-command's plan selection, self-check and no-recover modes must behave.
+``repro gate`` and ``repro compare`` must fail with exit 2 and an
+``error:`` line on stderr for malformed or empty ledger input (not a
+traceback), as must every command on a malformed graph file; the
+``faults`` command's plan selection, self-check and no-recover modes
+must behave.
 """
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import repro
 from repro.cli import main
 from repro.faults import FaultPlan, load_plan
 from repro.obs.ledger import set_default_ledger
@@ -88,6 +94,23 @@ class TestLedgerErrorPaths:
         assert main(["gate", "--current", good_ledger,
                      "--baseline", bad_ledger]) == 2
         assert capsys.readouterr().err.startswith("error:")
+
+
+class TestGraphFileErrors:
+    def test_truncated_graph_exits_2_without_traceback(self, tmp_path):
+        path = tmp_path / "trunc.graph"
+        path.write_text("3 2\n2\n")
+        env = dict(os.environ)
+        src = str(Path(repro.__file__).resolve().parents[1])
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "repro", "info", str(path)],
+            env=env, capture_output=True, text=True,
+        )
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("error:")
+        assert "expected 3 vertex lines" in proc.stderr
+        assert "Traceback" not in proc.stderr
 
 
 class TestFaultsCommand:
