@@ -1,7 +1,7 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: check tier1 sanitize-smoke faults-smoke profile-smoke roofline-smoke overlap-smoke serve-smoke slo-smoke gate report fuzz faults bench test
+.PHONY: check tier1 sanitize-smoke faults-smoke profile-smoke roofline-smoke overlap-smoke serve-smoke slo-smoke gate report fuzz faults bench examples test
 
 # The gate: tier-1 suite + the sanitizer, fault-injection, observability,
 # hardware-utilization, async-overlap, partition-service and SLO
@@ -89,5 +89,13 @@ faults:
 # Slow end-to-end benchmark tests (bench-marked, not part of tier-1).
 bench:
 	$(PYTHON) -m pytest -q -m bench
+
+# Run every documented example script; the first non-zero exit fails
+# the target (not part of `check`, which it would slow down).
+examples:
+	@set -e; for script in examples/*.py; do \
+		echo "== $$script"; \
+		$(PYTHON) $$script > /dev/null; \
+	done
 
 test: check

@@ -6,11 +6,12 @@
 >>> result.quality(g).cut  # doctest: +SKIP
 
 Every method — the four paper engines, the background systems, and the
-non-multilevel baselines — now lives in one registry
-(:data:`PARTITIONERS`) mapping the method name to its
-``(partitioner class, options dataclass)`` pair, and every call funnels
-through :class:`repro.service.PartitionRequest`, the canonical input
-type the partition service batches, caches and schedules.
+non-multilevel baselines — is a :class:`repro.engine.Engine` subclass
+and lives in one registry (:data:`PARTITIONERS`) mapping the engine's
+``name`` to its ``(engine class, options dataclass)`` pair, and every
+call funnels through :class:`repro.service.PartitionRequest`, the
+canonical input type the partition service batches, caches and
+schedules.
 :func:`partition` is a thin shim that builds a request and runs it
 synchronously, preserving the historical signature.
 """
@@ -18,22 +19,17 @@ synchronously, preserving the historical signature.
 from __future__ import annotations
 
 from .baselines.naive import BlockPartitioner, RandomPartitioner
-from .baselines.options import BlockOptions, RandomOptions, SpectralOptions
 from .baselines.spectral import SpectralPartitioner
 from .exceptions import InvalidParameterError
-from .gmetis.partitioner import Gmetis, GmetisOptions
-from .gpmetis.options import GPMetisOptions
+from .gmetis.partitioner import Gmetis
 from .gpmetis.partitioner import GPMetis
 from .graphs.csr import CSRGraph
-from .jostle.partitioner import Jostle, JostleOptions
-from .mtmetis.options import MtMetisOptions
+from .jostle.partitioner import Jostle
 from .mtmetis.partitioner import MtMetis
-from .parmetis.options import ParMetisOptions
 from .parmetis.partitioner import ParMetis
-from .ptscotch.partitioner import PTScotch, PTScotchOptions
+from .ptscotch.partitioner import PTScotch
 from .result import PartitionResult
 from .runtime.machine import MachineSpec
-from .serial.options import SerialOptions
 from .serial.partitioner import SerialMetis
 from .service.request import PartitionRequest
 
@@ -47,20 +43,16 @@ __all__ = [
     "PartitionRequest",
 ]
 
-#: method name -> (partitioner class, options class).  Order matters:
-#: the four paper methods lead, then the background systems, then the
+#: method name -> (engine class, options class).  Order matters: the
+#: four paper methods lead, then the background systems, then the
 #: non-multilevel baselines (``available_methods`` preserves it).
 PARTITIONERS: dict[str, tuple[type, type]] = {
-    "metis": (SerialMetis, SerialOptions),
-    "parmetis": (ParMetis, ParMetisOptions),
-    "mt-metis": (MtMetis, MtMetisOptions),
-    "gp-metis": (GPMetis, GPMetisOptions),
-    "pt-scotch": (PTScotch, PTScotchOptions),
-    "jostle": (Jostle, JostleOptions),
-    "gmetis": (Gmetis, GmetisOptions),
-    "spectral": (SpectralPartitioner, SpectralOptions),
-    "random": (RandomPartitioner, RandomOptions),
-    "block": (BlockPartitioner, BlockOptions),
+    cls.name: (cls, cls.options_class)
+    for cls in (
+        SerialMetis, ParMetis, MtMetis, GPMetis,
+        PTScotch, Jostle, Gmetis,
+        SpectralPartitioner, RandomPartitioner, BlockPartitioner,
+    )
 }
 
 #: Accepted aliases (the paper's own naming included).

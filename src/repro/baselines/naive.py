@@ -4,71 +4,35 @@ These anchor the benchmark suite — any heuristic worth running must beat
 them on cut (random) while matching their balance (both are perfectly
 balanced by construction on unit weights).
 
-Like the multilevel engines, both are built from a frozen options
-dataclass (:class:`~repro.baselines.options.RandomOptions` /
-:class:`~repro.baselines.options.BlockOptions`) and a machine, report
-through :func:`repro.obs.profile_run` / :func:`repro.obs.finish_run` (so
-served and profiled runs land in the run ledger with a config
-fingerprint), and accept ``fault_plan`` / ``fault_recovery``.
+Like the multilevel engines, both are :class:`repro.engine.Engine`
+subclasses built from a frozen options dataclass
+(:class:`~repro.baselines.options.RandomOptions` /
+:class:`~repro.baselines.options.BlockOptions`) and a machine, so their
+runs are profiled, ledgered and fault-injectable like every other.
 """
 
 from __future__ import annotations
 
-import time
-
 import numpy as np
 
-from ..exceptions import InvalidParameterError
-from ..faults import attach_injector
+from ..engine import Engine, PhaseOutput
 from ..graphs.csr import CSRGraph
-from ..graphs.metrics import edge_cut, imbalance
-from ..obs.hooks import finish_run, profile_run
-from ..result import PartitionResult
 from ..runtime.clock import SimClock
-from ..runtime.machine import PAPER_MACHINE, MachineSpec
 from ..runtime.trace import Trace
 from .options import BlockOptions, RandomOptions
 
 __all__ = ["RandomPartitioner", "BlockPartitioner"]
 
 
-class _TrivialBase:
-    """A baseline built from ``(options, machine)``.  Subclasses set
-    ``name`` and ``options_class`` and either supply ``_labels`` or
-    override ``partition``."""
-
-    options_class: type = None  # set by subclasses
-
-    def __init__(self, options=None, machine: MachineSpec | None = None) -> None:
-        if options is not None and not isinstance(options, self.options_class):
-            raise InvalidParameterError(
-                f"{self.name!r} takes a {self.options_class.__name__} options "
-                f"dataclass, got {type(options).__name__}"
-            )
-        if machine is not None and not isinstance(machine, MachineSpec):
-            raise InvalidParameterError(
-                f"machine must be a MachineSpec, got {type(machine).__name__}"
-            )
-        self.options = options or self.options_class()
-        self.machine = machine or PAPER_MACHINE
+class _LabelBaseline(Engine):
+    """A baseline whose one phase writes a label per vertex; subclasses
+    supply the labels."""
 
     def _labels(self, graph: CSRGraph, k: int) -> np.ndarray:
         raise NotImplementedError
 
-    def partition(self, graph: CSRGraph, k: int) -> PartitionResult:
-        if k < 1:
-            raise InvalidParameterError(f"k must be >= 1, got {k}")
-        opts = self.options
-        clock = SimClock()
-        injector = attach_injector(
-            clock, opts.fault_plan, recover=opts.fault_recovery
-        )
-        trace = Trace()
-        profiler = profile_run(
-            clock, engine=self.name, graph=graph, k=k, options=opts,
-        )
+    def run_phases(self, graph: CSRGraph, k: int, clock: SimClock) -> PhaseOutput:
         clock.set_phase("assign")
-        t0 = time.perf_counter()
         part = self._labels(graph, k)
         clock.charge(
             "compute",
@@ -76,31 +40,10 @@ class _TrivialBase:
             count=float(graph.num_vertices),
             detail="label assignment",
         )
-        finish_run(
-            profiler,
-            trace=trace,
-            injector=injector,
-            machine=self.machine,
-            cut=edge_cut(graph, part),
-            imbalance=imbalance(graph, part, k),
-        )
-        extras = {}
-        if injector is not None:
-            extras["degraded"] = injector.degraded
-            extras["fault_events"] = list(injector.events)
-        return PartitionResult(
-            method=self.name,  # type: ignore[attr-defined]
-            graph_name=graph.name,
-            k=k,
-            part=part,
-            clock=clock,
-            trace=trace,
-            wall_seconds=time.perf_counter() - t0,
-            extras=extras,
-        )
+        return PhaseOutput(part, Trace())
 
 
-class RandomPartitioner(_TrivialBase):
+class RandomPartitioner(_LabelBaseline):
     """Balanced random assignment: shuffle, then deal round-robin."""
 
     name = "random"
@@ -114,7 +57,7 @@ class RandomPartitioner(_TrivialBase):
         return part
 
 
-class BlockPartitioner(_TrivialBase):
+class BlockPartitioner(_LabelBaseline):
     """Contiguous index ranges — what a naive code does without a
     partitioner.  Quality depends entirely on the input labeling's
     locality (good for BFS/RCM-ordered meshes, terrible for shuffled

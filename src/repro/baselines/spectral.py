@@ -13,20 +13,14 @@ computed with scipy's Lanczos (dense fallback for tiny subgraphs).
 
 from __future__ import annotations
 
-import time
-
 import numpy as np
 
-from ..exceptions import InvalidParameterError, PartitioningError
-from ..faults import attach_injector
+from ..engine import Engine, PhaseOutput
+from ..exceptions import PartitioningError
 from ..graphs.csr import CSRGraph
-from ..graphs.metrics import edge_cut, imbalance
-from ..obs.hooks import finish_run, profile_run
-from ..result import PartitionResult
 from ..runtime.clock import SimClock
 from ..runtime.trace import Trace
 from ..serial.kway import rebalance_pass
-from .naive import _TrivialBase
 from .options import SpectralOptions
 
 __all__ = ["fiedler_vector", "spectral_bisect", "SpectralPartitioner"]
@@ -94,7 +88,7 @@ def spectral_bisect(
     return labels
 
 
-class SpectralPartitioner(_TrivialBase):
+class SpectralPartitioner(Engine):
     """Recursive spectral bisection to k parts (no multilevel, no FM).
 
     Cost model: each bisection runs Lanczos — ~``iterations`` sparse
@@ -106,20 +100,9 @@ class SpectralPartitioner(_TrivialBase):
     name = "spectral"
     options_class = SpectralOptions
 
-    def partition(self, graph: CSRGraph, k: int) -> PartitionResult:
-        if k < 1:
-            raise InvalidParameterError(f"k must be >= 1, got {k}")
+    def run_phases(self, graph: CSRGraph, k: int, clock: SimClock) -> PhaseOutput:
         opts = self.options
-        clock = SimClock()
-        injector = attach_injector(
-            clock, opts.fault_plan, recover=opts.fault_recovery
-        )
-        trace = Trace()
-        profiler = profile_run(
-            clock, engine=self.name, graph=graph, k=k, options=opts,
-        )
         clock.set_phase("spectral")
-        t0 = time.perf_counter()
         n = graph.num_vertices
         part = np.zeros(n, dtype=np.int64)
 
@@ -166,26 +149,4 @@ class SpectralPartitioner(_TrivialBase):
                     count=float(graph.num_directed_edges),
                     detail="rebalance",
                 )
-
-        finish_run(
-            profiler,
-            trace=trace,
-            injector=injector,
-            machine=self.machine,
-            cut=edge_cut(graph, part),
-            imbalance=imbalance(graph, part, k),
-        )
-        extras = {}
-        if injector is not None:
-            extras["degraded"] = injector.degraded
-            extras["fault_events"] = list(injector.events)
-        return PartitionResult(
-            method=self.name,
-            graph_name=graph.name,
-            k=k,
-            part=part,
-            clock=clock,
-            trace=trace,
-            wall_seconds=time.perf_counter() - t0,
-            extras=extras,
-        )
+        return PhaseOutput(part, Trace())

@@ -11,25 +11,21 @@ as ParMetis in terms of performance".
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 
 import numpy as np
 
+from ..engine import Engine, PhaseOutput
 from ..exceptions import InvalidParameterError
-from ..faults import attach_injector
 from ..graphs.csr import CSRGraph
-from ..graphs.metrics import edge_cut, imbalance
-from ..obs.hooks import finish_run, profile_run
+from ..graphs.metrics import edge_cut
 from ..obs.spans import clock_span
-from ..result import PartitionResult
 from ..runtime.clock import SimClock
-from ..runtime.machine import PAPER_MACHINE, MachineSpec
 from ..runtime.trace import LevelRecord, RefinementRecord, Trace
 from ..serial.bisection import recursive_bisection
 from ..serial.coarsen import CoarseningLevel
 from ..serial.contraction import contract
-from ..serial.kway import kway_refine, rebalance_pass
+from ..serial.kway import final_rebalance, kway_refine
 from ..serial.options import SerialOptions
 from ..serial.project import project_partition
 from .speculative import SpeculativeExecutor
@@ -78,18 +74,11 @@ class GmetisOptions:
         )
 
 
-class Gmetis:
+class Gmetis(Engine):
     """Multicore Metis on the optimistic (Galois) execution model."""
 
     name = "gmetis"
-
-    def __init__(
-        self,
-        options: GmetisOptions | None = None,
-        machine: MachineSpec | None = None,
-    ) -> None:
-        self.options = options or GmetisOptions()
-        self.machine = machine or PAPER_MACHINE
+    options_class = GmetisOptions
 
     # ------------------------------------------------------------------
     def _speculative_match(
@@ -130,21 +119,11 @@ class Gmetis:
         return match, stats
 
     # ------------------------------------------------------------------
-    def partition(self, graph: CSRGraph, k: int) -> PartitionResult:
-        if k < 1:
-            raise InvalidParameterError(f"k must be >= 1, got {k}")
+    def run_phases(self, graph: CSRGraph, k: int, clock: SimClock) -> PhaseOutput:
         opts = self.options
-        clock = SimClock()
-        injector = attach_injector(
-            clock, opts.fault_plan, recover=opts.fault_recovery
-        )
         trace = Trace()
-        profiler = profile_run(
-            clock, engine=self.name, graph=graph, k=k, options=self.options
-        )
         executor = SpeculativeExecutor(opts.num_threads, self.machine.cpu, clock)
         rng = np.random.default_rng(opts.seed)
-        t0 = time.perf_counter()
 
         clock.set_phase("coarsening")
         levels: list[CoarseningLevel] = []
@@ -245,33 +224,10 @@ class Gmetis:
                     )
                 )
 
-        if k > 1 and imbalance(graph, part, k) > opts.ubfactor:
-            pweights = np.bincount(
-                part, weights=graph.vwgt.astype(np.float64), minlength=k
-            )
-            ideal = graph.total_vertex_weight / k
-            rebalance_pass(graph, part, pweights, k, opts.ubfactor * ideal)
-
-        finish_run(
-            profiler,
-            trace=trace,
-            injector=injector,
-            machine=self.machine,
-            cut=edge_cut(graph, part),
-            imbalance=imbalance(graph, part, k),
-            aborts=total_aborts,
-        )
-        extras = {"num_threads": opts.num_threads, "aborts": total_aborts}
-        if injector is not None:
-            extras["degraded"] = injector.degraded
-            extras["fault_events"] = list(injector.events)
-        return PartitionResult(
-            method=self.name,
-            graph_name=graph.name,
-            k=k,
-            part=part,
-            clock=clock,
-            trace=trace,
-            wall_seconds=time.perf_counter() - t0,
-            extras=extras,
+        final_rebalance(graph, part, k, opts.ubfactor)
+        return PhaseOutput(
+            part,
+            trace,
+            extras={"num_threads": opts.num_threads, "aborts": total_aborts},
+            attrs={"aborts": total_aborts},
         )

@@ -2,7 +2,6 @@
 
 from .hybrid import GpuLevel, HybridOutcome, run_hybrid
 from .memory_planning import MemoryPlan, plan_device_memory
-from .multigpu import MultiGpuGPMetis, MultiGpuOptions
 from .options import GPMetisOptions
 from .partitioner import GPMetis
 from .thresholds import breakeven_estimate, gpu_stop_size, should_run_level_on_gpu
@@ -10,8 +9,6 @@ from .thresholds import breakeven_estimate, gpu_stop_size, should_run_level_on_g
 __all__ = [
     "GPMetis",
     "GPMetisOptions",
-    "MultiGpuGPMetis",
-    "MultiGpuOptions",
     "MemoryPlan",
     "plan_device_memory",
     "run_hybrid",

@@ -50,7 +50,7 @@ import numpy as np
 
 from ..exceptions import DeviceMemoryError, KernelAbortError, TransferError
 from ..graphs.csr import CSRGraph
-from ..graphs.metrics import edge_cut, imbalance
+from ..graphs.metrics import edge_cut
 from ..gpusim.device import Device
 from ..gpusim.memory import DeviceArray
 from ..gpusim.simt import threads_for_items
@@ -63,7 +63,7 @@ from ..runtime.clock import SimClock
 from ..runtime.machine import MachineSpec
 from ..runtime.threads import ThreadPoolSim
 from ..runtime.trace import LevelRecord, RefinementRecord, Trace
-from ..serial.kway import rebalance_pass
+from ..serial.kway import final_rebalance
 from ..serial.project import project_partition
 from .kernels.cmap import gpu_build_cmap
 from .kernels.contraction import gpu_contract
@@ -500,10 +500,8 @@ def run_hybrid(
     # 5. Final balance guarantee on the host.
     # ------------------------------------------------------------------
     clock.set_phase("uncoarsening-cpu")
-    if k > 1 and imbalance(graph, part, k) > opts.ubfactor:
-        pweights = np.bincount(part, weights=graph.vwgt.astype(np.float64), minlength=k)
-        ideal = graph.total_vertex_weight / k
-        moves = rebalance_pass(graph, part, pweights, k, opts.ubfactor * ideal)
+    moves = final_rebalance(graph, part, k, opts.ubfactor)
+    if moves is not None:
         clock.charge(
             "compute",
             machine.cpu.edge_seconds(

@@ -5,8 +5,8 @@ graphs".  GP-metis keeps every GPU coarsening level's arrays resident
 (the "pointer arrays" of Sec. III.A), so the footprint is the sum of a
 geometric ladder of CSR levels plus per-level cmap/match scratch.  This
 module predicts that footprint *before* any allocation, letting callers
-decide between single-GPU, multi-GPU, and CPU fallback up front instead
-of discovering OOM mid-run.
+decide between the GPU pipeline and CPU fallback up front instead of
+discovering OOM mid-run.
 """
 
 from __future__ import annotations

@@ -2,25 +2,18 @@
 
 from __future__ import annotations
 
-import time
-
 import numpy as np
 
-from ..exceptions import InvalidParameterError
-from ..faults import attach_injector
+from ..engine import Engine, PhaseOutput
 from ..graphs.csr import CSRGraph
-from ..graphs.metrics import edge_cut, imbalance
-from ..obs.hooks import finish_run, profile_run
-from ..result import PartitionResult
 from ..runtime.clock import SimClock
-from ..runtime.machine import PAPER_MACHINE, MachineSpec
 from .hybrid import run_hybrid
 from .options import GPMetisOptions
 
 __all__ = ["GPMetis"]
 
 
-class GPMetis:
+class GPMetis(Engine):
     """Hybrid CPU-GPU multilevel k-way partitioner (GP-metis).
 
     The GPU handles the parallel-rich fine levels of coarsening and
@@ -30,59 +23,27 @@ class GPMetis:
     """
 
     name = "gp-metis"
+    options_class = GPMetisOptions
 
-    def __init__(
-        self,
-        options: GPMetisOptions | None = None,
-        machine: MachineSpec | None = None,
-    ) -> None:
-        self.options = options or GPMetisOptions()
-        self.machine = machine or PAPER_MACHINE
-
-    def partition(self, graph: CSRGraph, k: int) -> PartitionResult:
-        if k < 1:
-            raise InvalidParameterError(f"k must be >= 1, got {k}")
-        clock = SimClock()
-        injector = attach_injector(
-            clock, self.options.fault_plan, recover=self.options.fault_recovery
-        )
-        profiler = profile_run(
-            clock, engine=self.name, graph=graph, k=k, options=self.options
-        )
-        t0 = time.perf_counter()
+    def run_phases(self, graph: CSRGraph, k: int, clock: SimClock) -> PhaseOutput:
         outcome = run_hybrid(graph, k, self.options, self.machine, clock)
-        part = np.asarray(outcome.part, dtype=np.int64)
-        finish_run(
-            profiler,
-            trace=outcome.trace,
+        return PhaseOutput(
+            np.asarray(outcome.part, dtype=np.int64),
+            outcome.trace,
+            extras={
+                "device_stats": outcome.device.stats,
+                "gpu_levels": outcome.gpu_levels,
+                "cpu_levels": outcome.cpu_levels,
+                "fell_back_to_cpu": outcome.fell_back_to_cpu,
+                "merge_fallbacks": outcome.merge_fallbacks,
+                "merge_strategy": self.options.merge_strategy,
+                "sanitizer": outcome.device.sanitizer,
+                "degraded": outcome.degraded,
+            },
+            attrs={
+                "gpu_levels": outcome.gpu_levels,
+                "cpu_levels": outcome.cpu_levels,
+                "fell_back_to_cpu": outcome.fell_back_to_cpu,
+            },
             device_stats=outcome.device.stats,
-            injector=injector,
-            machine=self.machine,
-            cut=edge_cut(graph, part),
-            imbalance=imbalance(graph, part, k),
-            gpu_levels=outcome.gpu_levels,
-            cpu_levels=outcome.cpu_levels,
-            fell_back_to_cpu=outcome.fell_back_to_cpu,
-        )
-        extras = {
-            "device_stats": outcome.device.stats,
-            "gpu_levels": outcome.gpu_levels,
-            "cpu_levels": outcome.cpu_levels,
-            "fell_back_to_cpu": outcome.fell_back_to_cpu,
-            "merge_fallbacks": outcome.merge_fallbacks,
-            "merge_strategy": self.options.merge_strategy,
-            "sanitizer": outcome.device.sanitizer,
-            "degraded": outcome.degraded,
-        }
-        if injector is not None:
-            extras["fault_events"] = list(injector.events)
-        return PartitionResult(
-            method=self.name,
-            graph_name=graph.name,
-            k=k,
-            part=part,
-            clock=clock,
-            trace=outcome.trace,
-            wall_seconds=time.perf_counter() - t0,
-            extras=extras,
         )

@@ -539,22 +539,21 @@ def validate_hw_section(section: dict) -> None:
         _require(isinstance(util, (int, float)) and 0.0 <= util <= 1.0,
                  f"{name}.{util_key} must be in [0, 1], got {util!r}")
     pcie = section["pcie"]
-    if "exposed_seconds" in pcie:
-        exp = pcie["exposed_seconds"]
-        _require(
-            0.0 <= exp <= pcie["seconds"] + 1e-9,
-            f"pcie.exposed_seconds {exp} outside [0, {pcie['seconds']}]",
-        )
-        ratio = pcie.get("overlap_ratio", 0.0)
-        _require(0.0 <= ratio <= 1.0,
-                 f"pcie.overlap_ratio must be in [0, 1], got {ratio!r}")
+    for key in ("exposed_seconds", "overlap_ratio"):
+        _require(key in pcie, f"pcie missing {key!r}")
+    exp = pcie["exposed_seconds"]
+    _require(
+        0.0 <= exp <= pcie["seconds"] + 1e-9,
+        f"pcie.exposed_seconds {exp} outside [0, {pcie['seconds']}]",
+    )
+    ratio = pcie["overlap_ratio"]
+    _require(0.0 <= ratio <= 1.0,
+             f"pcie.overlap_ratio must be in [0, 1], got {ratio!r}")
     for row in section["phases"]:
         for key in ("phase", "seconds", "gpu_seconds", "pcie_seconds",
-                    "cpu_seconds"):
+                    "cpu_seconds", "overlapped_seconds"):
             _require(key in row, f"phase row missing {key!r}")
-        # Older records predate the overlapped slice; they were built from
-        # serial schedules where it is identically zero.
-        overlap = row.get("overlapped_seconds", 0.0)
+        overlap = row["overlapped_seconds"]
         _require(
             0.0 <= overlap <= min(row["gpu_seconds"], row["pcie_seconds"]) + 1e-9,
             f"phase {row['phase']!r} overlapped_seconds {overlap} exceeds "

@@ -7,26 +7,22 @@ best initial partition elected; banded refinement during uncoarsening.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 
 import numpy as np
 
+from ..engine import Engine, PhaseOutput
 from ..exceptions import InvalidParameterError
-from ..faults import attach_injector
 from ..graphs.csr import CSRGraph
-from ..graphs.metrics import edge_cut, imbalance
-from ..obs.hooks import finish_run, profile_run
+from ..graphs.metrics import edge_cut
 from ..parmetis.distgraph import DistGraph
-from ..result import PartitionResult
 from ..runtime.clock import SimClock
-from ..runtime.machine import PAPER_MACHINE, MachineSpec
 from ..runtime.mpi import MpiSim
 from ..runtime.trace import LevelRecord, RefinementRecord, Trace
 from ..serial.bisection import recursive_bisection
 from ..serial.coarsen import CoarseningLevel
 from ..serial.contraction import contract
-from ..serial.kway import rebalance_pass
+from ..serial.kway import final_rebalance
 from ..serial.options import SerialOptions
 from ..serial.project import project_partition
 from .band import band_refine
@@ -87,34 +83,17 @@ class PTScotchOptions:
         )
 
 
-class PTScotch:
+class PTScotch(Engine):
     """Distributed multilevel partitioner in PT-Scotch's style."""
 
     name = "pt-scotch"
+    options_class = PTScotchOptions
 
-    def __init__(
-        self,
-        options: PTScotchOptions | None = None,
-        machine: MachineSpec | None = None,
-    ) -> None:
-        self.options = options or PTScotchOptions()
-        self.machine = machine or PAPER_MACHINE
-
-    def partition(self, graph: CSRGraph, k: int) -> PartitionResult:
-        if k < 1:
-            raise InvalidParameterError(f"k must be >= 1, got {k}")
+    def run_phases(self, graph: CSRGraph, k: int, clock: SimClock) -> PhaseOutput:
         opts = self.options
-        clock = SimClock()
-        injector = attach_injector(
-            clock, opts.fault_plan, recover=opts.fault_recovery
-        )
         trace = Trace()
-        profiler = profile_run(
-            clock, engine=self.name, graph=graph, k=k, options=opts,
-        )
         mpi = MpiSim(opts.num_ranks, self.machine.cpu, self.machine.interconnect, clock)
         rng = np.random.default_rng(opts.seed)
-        t0 = time.perf_counter()
 
         # --------------------------------------------------------------
         # Coarsening with Monte-Carlo matching + folding.
@@ -218,35 +197,12 @@ class PTScotch:
                 )
             )
 
-        if k > 1 and imbalance(graph, part, k) > opts.ubfactor:
-            pweights = np.bincount(
-                part, weights=graph.vwgt.astype(np.float64), minlength=k
-            )
-            ideal = graph.total_vertex_weight / k
-            rebalance_pass(graph, part, pweights, k, opts.ubfactor * ideal)
-
+        final_rebalance(graph, part, k, opts.ubfactor)
         trace.note(f"{folds} folds performed")
-        finish_run(
-            profiler,
-            trace=trace,
-            injector=injector,
-            machine=self.machine,
-            cut=edge_cut(graph, part),
-            imbalance=imbalance(graph, part, k),
-            num_ranks=opts.num_ranks,
-        )
-        extras = {"num_ranks": opts.num_ranks, "folds": folds,
-                  "messages": mpi.messages_sent}
-        if injector is not None:
-            extras["degraded"] = injector.degraded
-            extras["fault_events"] = list(injector.events)
-        return PartitionResult(
-            method=self.name,
-            graph_name=graph.name,
-            k=k,
-            part=part,
-            clock=clock,
-            trace=trace,
-            wall_seconds=time.perf_counter() - t0,
-            extras=extras,
+        return PhaseOutput(
+            part,
+            trace,
+            extras={"num_ranks": opts.num_ranks, "folds": folds,
+                    "messages": mpi.messages_sent},
+            attrs={"num_ranks": opts.num_ranks},
         )

@@ -16,7 +16,7 @@ import numpy as np
 
 from .._segments import gather_ranges, segment_ids, segmented_argmax
 from ..graphs.csr import CSRGraph
-from ..graphs.metrics import boundary_vertices
+from ..graphs.metrics import boundary_vertices, imbalance
 
 __all__ = [
     "KwayPassResult",
@@ -25,6 +25,7 @@ __all__ = [
     "kway_refine_pass",
     "kway_refine",
     "rebalance_pass",
+    "final_rebalance",
 ]
 
 
@@ -194,6 +195,23 @@ def rebalance_pass(
         if not progressed:
             break
     return moves
+
+
+def final_rebalance(
+    graph: CSRGraph, part: np.ndarray, k: int, ubfactor: float
+) -> int | None:
+    """The engines' closing balance guarantee at the finest level.
+
+    When ``part`` (mutated in place) exceeds ``ubfactor``, runs
+    :func:`rebalance_pass` against ``ubfactor`` x the ideal part weight
+    and returns its move count; returns ``None`` when no pass was
+    needed.  The caller charges the pass to its own cost model.
+    """
+    if k <= 1 or imbalance(graph, part, k) <= ubfactor:
+        return None
+    pweights = np.bincount(part, weights=graph.vwgt.astype(np.float64), minlength=k)
+    ideal = graph.total_vertex_weight / k
+    return rebalance_pass(graph, part, pweights, k, ubfactor * ideal)
 
 
 def kway_refine(

@@ -9,18 +9,12 @@ in Fig. 5.
 
 from __future__ import annotations
 
-import time
-
 import numpy as np
 
-from ..exceptions import InvalidParameterError
-from ..faults import attach_injector
+from ..engine import Engine, PhaseOutput
 from ..graphs.csr import CSRGraph
-from ..graphs.metrics import edge_cut, imbalance
-from ..obs.hooks import finish_run, profile_run
-from ..result import PartitionResult
+from ..graphs.metrics import edge_cut
 from ..runtime.clock import SimClock
-from ..runtime.machine import PAPER_MACHINE, MachineSpec
 from ..runtime.trace import RefinementRecord, Trace
 from .bisection import recursive_bisection
 from .coarsen import coarsen_graph
@@ -31,36 +25,21 @@ from .project import project_partition
 __all__ = ["SerialMetis"]
 
 
-class SerialMetis:
-    """Serial Metis-style multilevel k-way partitioner."""
+class SerialMetis(Engine):
+    """Serial Metis-style multilevel k-way partitioner.
+
+    A single-core engine has no faultable substrate (no device, pool or
+    MPI layer): a fault plan attaches but never fires, and the metrics
+    report that honestly.
+    """
 
     name = "metis"
+    options_class = SerialOptions
 
-    def __init__(
-        self,
-        options: SerialOptions | None = None,
-        machine: MachineSpec | None = None,
-    ) -> None:
-        self.options = options or SerialOptions()
-        self.machine = machine or PAPER_MACHINE
-
-    def partition(self, graph: CSRGraph, k: int) -> PartitionResult:
-        if k < 1:
-            raise InvalidParameterError(f"k must be >= 1, got {k}")
+    def run_phases(self, graph: CSRGraph, k: int, clock: SimClock) -> PhaseOutput:
         opts = self.options
-        clock = SimClock()
-        # A single-core engine has no faultable substrate (no device, pool
-        # or MPI layer), but attaching keeps the option contract uniform —
-        # the plan simply never fires, and metrics report that honestly.
-        injector = attach_injector(
-            clock, opts.fault_plan, recover=opts.fault_recovery
-        )
         trace = Trace()
-        profiler = profile_run(
-            clock, engine=self.name, graph=graph, k=k, options=self.options
-        )
         rng = np.random.default_rng(opts.seed)
-        t0 = time.perf_counter()
 
         # Phase 1: coarsening.
         clock.set_phase("coarsening")
@@ -135,26 +114,4 @@ class SerialMetis:
                         engine="cpu-serial",
                     )
                 )
-
-        finish_run(
-            profiler,
-            trace=trace,
-            injector=injector,
-            machine=self.machine,
-            cut=edge_cut(graph, part),
-            imbalance=imbalance(graph, part, k),
-        )
-        extras = {}
-        if injector is not None:
-            extras["degraded"] = injector.degraded
-            extras["fault_events"] = list(injector.events)
-        return PartitionResult(
-            method=self.name,
-            graph_name=graph.name,
-            k=k,
-            part=part,
-            clock=clock,
-            trace=trace,
-            wall_seconds=time.perf_counter() - t0,
-            extras=extras,
-        )
+        return PhaseOutput(part, trace)

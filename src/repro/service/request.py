@@ -18,6 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from typing import Mapping
 
+from ..engine import check_k
 from ..exceptions import InvalidParameterError
 from ..graphs.csr import CSRGraph
 from ..result import PartitionResult
@@ -49,8 +50,9 @@ class PartitionRequest:
             raise InvalidParameterError(
                 f"graph must be a CSRGraph, got {type(self.graph).__name__}"
             )
-        if not isinstance(self.k, int) or isinstance(self.k, bool) or self.k < 1:
-            raise InvalidParameterError(f"k must be an int >= 1, got {self.k!r}")
+        check_k(self.k)
+        # A NumPy integer k would leak into JSON ledger records.
+        object.__setattr__(self, "k", int(self.k))
         if not isinstance(self.priority, int) or self.priority < 0:
             raise InvalidParameterError(
                 f"priority must be an int >= 0, got {self.priority!r}"

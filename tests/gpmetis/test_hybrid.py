@@ -80,10 +80,6 @@ class TestHybridExecution:
         assert stats.h2d_bytes > 0
         assert "coalesce" in stats.report()
 
-    def test_k0_rejected(self, big_graph):
-        with pytest.raises(InvalidParameterError):
-            GPMetis().partition(big_graph, 0)
-
 
 class TestMemoryFallbacks:
     def test_oom_on_input_falls_back_to_cpu(self, big_graph):

@@ -63,10 +63,6 @@ class TestDriver:
         res = MtMetis().partition(medium_graph, k)
         validate_partition(medium_graph, res.part, k, ubfactor=1.031)
 
-    def test_k0_rejected(self, grid):
-        with pytest.raises(InvalidParameterError):
-            MtMetis().partition(grid, 0)
-
     def test_deterministic(self, medium_graph):
         a = MtMetis(MtMetisOptions(seed=3)).partition(medium_graph, 8)
         b = MtMetis(MtMetisOptions(seed=3)).partition(medium_graph, 8)

@@ -179,6 +179,25 @@ class TestSchemaValidation:
         with pytest.raises(ValueError, match="slices sum"):
             validate_hw_section({**section, "phases": rows})
 
+    @pytest.mark.parametrize(
+        "block, field",
+        [("phases", "overlapped_seconds"), ("pcie", "exposed_seconds"),
+         ("pcie", "overlap_ratio")],
+    )
+    def test_rejects_missing_overlap_field(self, graph, block, field):
+        # Every writer emits the async-overlap fields, CPU-only runs too;
+        # a record without one is malformed, not an older schema.
+        section = run_engine(graph, "metis").profiler.hw
+        if block == "pcie":
+            pcie = {k: v for k, v in section["pcie"].items() if k != field}
+            bad = {**section, "pcie": pcie}
+        else:
+            rows = [dict(r) for r in section["phases"]]
+            del rows[0][field]
+            bad = {**section, "phases": rows}
+        with pytest.raises(ValueError, match=field):
+            validate_hw_section(bad)
+
     def test_rejects_unknown_bound(self, gpu_result):
         section = gpu_result.profiler.hw
         gpu = dict(section["gpu"])

@@ -72,10 +72,6 @@ class TestPartitioner:
         res = SerialMetis().partition(grid, 1)
         assert np.all(res.part == 0)
 
-    def test_k0_rejected(self, grid):
-        with pytest.raises(InvalidParameterError):
-            SerialMetis().partition(grid, 0)
-
     def test_deterministic_given_seed(self, medium_graph):
         a = SerialMetis(SerialOptions(seed=9)).partition(medium_graph, 8)
         b = SerialMetis(SerialOptions(seed=9)).partition(medium_graph, 8)

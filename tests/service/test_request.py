@@ -21,6 +21,13 @@ class TestValidation:
         with pytest.raises(InvalidParameterError):
             PartitionRequest(graph=grid, k=k)
 
+    def test_numpy_integer_k_accepted(self, grid):
+        # The engines take NumPy integers; the request in front of them
+        # applies the same check.
+        req = PartitionRequest(graph=grid, k=np.int64(4), method="metis")
+        assert type(req.k) is int
+        assert np.array_equal(req.run().part, repro.partition(grid, 4, method="metis").part)
+
     def test_rejects_negative_priority(self, grid):
         with pytest.raises(InvalidParameterError, match="priority"):
             PartitionRequest(graph=grid, k=4, priority=-1)

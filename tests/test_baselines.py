@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import repro
+from repro.api import PARTITIONERS
 from repro.baselines import (
     BlockPartitioner,
     RandomOptions,
@@ -125,11 +126,9 @@ class TestSpectralPartitioner:
         res = SpectralPartitioner().partition(grid, 1)
         assert np.all(res.part == 0)
 
-    def test_invalid(self, grid):
+    def test_invalid(self):
         with pytest.raises(InvalidParameterError):
             SpectralPartitioner(SpectralOptions(ubfactor=0.5))
-        with pytest.raises(InvalidParameterError):
-            SpectralPartitioner().partition(grid, 0)
 
 
 class TestTrivialBaselines:
@@ -162,10 +161,16 @@ class TestTrivialBaselines:
         # Pre-dataclass callers wrote RandomPartitioner(1.05, 7) meaning
         # (ubfactor, seed); those now bind (options, machine) and must
         # fail loudly at construction, not with an AttributeError later.
-        for cls in (RandomPartitioner, BlockPartitioner, SpectralPartitioner):
-            with pytest.raises(InvalidParameterError, match="options dataclass"):
-                cls(1.05)
-            with pytest.raises(InvalidParameterError, match="MachineSpec"):
-                cls(None, 7)
+        # Every registered engine shares the check, and another engine's
+        # options dataclass is as wrong as a bare number.
+        engines = list(PARTITIONERS.values())
+        for i, (cls, _) in enumerate(engines):
+            foreign = engines[(i + 1) % len(engines)][1]()
+            for options in (1.05, "hem", foreign):
+                with pytest.raises(InvalidParameterError, match="options dataclass"):
+                    cls(options)
+            for machine in (7, "paper"):
+                with pytest.raises(InvalidParameterError, match="MachineSpec"):
+                    cls(None, machine)
             with pytest.raises(TypeError):
                 cls(ubfactor=1.05)

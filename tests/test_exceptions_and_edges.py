@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import repro
-from repro.api import partition
+from repro.api import make_partitioner, partition
 from repro.exceptions import (
     CommunicationError,
     DeviceMemoryError,
@@ -45,6 +45,14 @@ class TestTaxonomy:
             partition(grid, 0)
         with pytest.raises(ReproError):
             partition(grid, 4, method="nonsense")
+
+    @pytest.mark.parametrize("k", [0, -1, 2.0, True])
+    @pytest.mark.parametrize("method", repro.available_methods())
+    def test_engine_rejects_bad_k(self, grid, method, k):
+        """Engines called directly, without a request in front, reject a
+        part count that is not an integer >= 1 before doing any work."""
+        with pytest.raises(InvalidParameterError, match="k must be"):
+            make_partitioner(method).partition(grid, k)
 
 
 class TestDegenerateInputs:

@@ -121,5 +121,3 @@ class TestGmetisDriver:
     def test_invalid_options(self):
         with pytest.raises(InvalidParameterError):
             GmetisOptions(num_threads=0)
-        with pytest.raises(InvalidParameterError):
-            Gmetis().partition(delaunay(100, seed=1), 0)

@@ -1,50 +1,8 @@
-"""Detail tests: multi-GPU scheduling internals and misc coverage gaps."""
+"""Detail tests: misc coverage gaps in the benchmark harness's bench-scale views."""
 
-import numpy as np
 import pytest
 
 from repro.bench import ExperimentConfig, fig5_series, run_experiment
-from repro.gpmetis import MultiGpuGPMetis, MultiGpuOptions
-from repro.graphs.generators import delaunay
-from repro.runtime.machine import PAPER_MACHINE
-
-
-class TestInterleavedBatches:
-    @pytest.fixture
-    def mg(self):
-        return MultiGpuGPMetis(MultiGpuOptions(num_devices=3))
-
-    def test_covers_all_items_once(self, mg):
-        owner = np.array([0, 0, 1, 1, 2, 2, 0])
-        batches = list(mg._interleaved_batches(7, owner, width=2))
-        flat = np.concatenate(batches)
-        assert sorted(flat.tolist()) == list(range(7))
-
-    def test_round_robins_devices(self, mg):
-        owner = np.array([0, 0, 1, 1, 2, 2])
-        batches = list(mg._interleaved_batches(6, owner, width=1))
-        owners_seen = [int(owner[b[0]]) for b in batches]
-        assert owners_seen[:3] == [0, 1, 2]
-
-    def test_uneven_devices_drain(self, mg):
-        owner = np.array([0, 0, 0, 0, 1])
-        batches = list(mg._interleaved_batches(5, owner, width=2))
-        assert sorted(np.concatenate(batches).tolist()) == list(range(5))
-
-
-class TestPeerModel:
-    def test_peer_bandwidth_factor_scales_cost(self):
-        g = delaunay(9000, seed=4)
-        machine = PAPER_MACHINE.scaled_gpu_memory(int(g.nbytes * 1.1))
-        times = {}
-        for factor in (0.5, 2.0):
-            p = MultiGpuGPMetis(
-                MultiGpuOptions(num_devices=4, peer_bandwidth_factor=factor),
-                machine=machine,
-            )
-            res = p.partition(g, 8)
-            times[factor] = res.clock.seconds_for(category="transfer_bytes")
-        assert times[0.5] > times[2.0]
 
 
 class TestBenchScaleSeries:
