@@ -2,7 +2,6 @@
 
 from .calibrate import CALIBRATION_NOTES, ShapeCheck, check_paper_shape
 from .figures import fig5_csv, fig5_series, render_fig5
-from .profiling import Hotspot, hotspot_table, profile_partition
 from .report import (
     BENCH_RESULTS_SCHEMA,
     markdown_report,
@@ -54,9 +53,6 @@ __all__ = [
     "results_json",
     "write_results_json",
     "write_report",
-    "Hotspot",
-    "profile_partition",
-    "hotspot_table",
     "ScalingPoint",
     "ScalingStudy",
     "run_scaling_study",

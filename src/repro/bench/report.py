@@ -144,10 +144,8 @@ def results_json(results: ExperimentResults) -> dict:
                 "cpu_util": hw["cpu"]["utilization"],
                 "pcie_bytes": pcie["bytes"],
                 "pcie_util": pcie["utilization"],
-                "transfer_exposed_seconds": pcie.get(
-                    "exposed_seconds", pcie["seconds"]
-                ),
-                "transfer_overlap_ratio": pcie.get("overlap_ratio", 0.0),
+                "transfer_exposed_seconds": pcie["exposed_seconds"],
+                "transfer_overlap_ratio": pcie["overlap_ratio"],
                 "mpi_util": hw["mpi"]["utilization"],
                 "gpu_dram_util": gpu["dram_utilization"] if gpu else None,
                 "gpu_bound_seconds": dict(gpu["bound_seconds"]) if gpu else None,

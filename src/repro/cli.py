@@ -30,20 +30,19 @@ Commands mirror the classic ``gpmetis`` binary plus this repo's extras:
   error budget is blown;
 * ``serve`` — drive the concurrent partition service
   (:mod:`repro.service`) with a deterministic mixed workload and print
-  throughput, latency percentiles and cache statistics; ``bench
-  --service`` runs the same driver with differential verification and a
-  machine-readable JSON report;
+  throughput, latency percentiles and cache statistics; ``--verify``
+  adds differential verification and ``--json`` a machine-readable
+  report;
 * ``roofline`` — hardware-utilization report for one run (fresh or from
   a ledger record): ASCII roofline chart, per-kernel bound-ness table,
   and CPU/PCIe/MPI utilization against the machine model's peaks;
-* ``sanitize`` — self-check of the GPU data-race sanitizer: a clean
-  GP-metis pipeline must come out race-free and a deliberately broken
-  matching kernel (conflict resolution disabled) must be flagged;
 * ``faults`` — deterministic fault injection (see :mod:`repro.faults`):
   run an engine under a fault plan and print the fault/recovery
-  timeline, emit plan files, or ``--self-check`` the recovery machinery
-  (a full fault plan must survive with a valid, ``degraded`` partition,
-  and the same plan must crash once recovery is disabled).
+  timeline, or emit plan files;
+* ``selfcheck`` — the one self-check of the design (see
+  :mod:`repro.selfcheck`): the gate workload's records, exports,
+  roofline and async-streams identity, the verified service load, the
+  race sanitizer and the fault storm, one PASS/FAIL line per check.
 
 A library error (:class:`~repro.exceptions.ReproError`, e.g. a malformed
 graph file) ends any command with ``error: <message>`` on stderr and
@@ -156,19 +155,25 @@ def build_parser() -> argparse.ArgumentParser:
         "--no-json", action="store_true",
         help="skip writing the machine-readable results file",
     )
-    pb.add_argument(
-        "--service", action="store_true",
-        help="benchmark the concurrent partition service instead of the "
-             "paper grid: run the standard mixed workload with "
-             "differential verification and write BENCH_service.json",
-    )
-    _add_service_arguments(pb)
 
     psrv = sub.add_parser(
         "serve",
         help="drive the concurrent partition service with a mixed workload",
     )
-    _add_service_arguments(psrv)
+    psrv.add_argument("--workers", type=int, default=4,
+                      help="simulated CPU workers in the pool (default 4)")
+    psrv.add_argument("--gpu-slots", type=int, default=1,
+                      help="concurrent GPU leases (default 1, the paper testbed)")
+    psrv.add_argument("--requests", type=int, default=100,
+                      help="workload size (default 100)")
+    psrv.add_argument("--queue-limit", type=int, default=64,
+                      help="admission limit per priority lane (default 64)")
+    psrv.add_argument("--graph-n", type=int, default=600,
+                      help="vertices of the workload graphs (default 600)")
+    psrv.add_argument("--no-cache", action="store_true",
+                      help="disable the fingerprint result cache")
+    psrv.add_argument("--no-batching", action="store_true",
+                      help="disable identical-graph batch amortization")
     psrv.add_argument(
         "--verify", action="store_true",
         help="differentially check every unique configuration against a "
@@ -347,17 +352,8 @@ def build_parser() -> argparse.ArgumentParser:
     prf.add_argument("--no-chart", action="store_true",
                      help="skip the ASCII roofline chart")
 
-    ps = sub.add_parser("sanitize", help="data-race sanitizer self-check")
-    ps.add_argument("-n", type=int, default=9000,
-                    help="vertices of the clean-run test graph")
-    ps.add_argument("--schedules", type=int, default=3,
-                    help="fuzzed thread schedules per kernel launch")
-    ps.add_argument("--seed", type=int, default=1)
-
     pfa = sub.add_parser(
-        "faults",
-        help="run an engine under a deterministic fault plan "
-             "(or --self-check the recovery machinery)",
+        "faults", help="run an engine under a deterministic fault plan",
     )
     pfa.add_argument(
         "graph", nargs="?",
@@ -397,63 +393,13 @@ def build_parser() -> argparse.ArgumentParser:
         "--ledger", metavar="FILE",
         help="append the faulted run to this JSONL run ledger",
     )
-    pfa.add_argument(
-        "--self-check", action="store_true",
-        help="mutation-style check of the recovery machinery: the full "
-             "plan must survive with a valid degraded partition, and the "
-             "same plan must fail once recovery is disabled",
+
+    sub.add_parser(
+        "selfcheck",
+        help="check the design end to end: one PASS/FAIL line per check, "
+             "exit 1 on any FAIL",
     )
     return p
-
-
-def _add_service_arguments(parser) -> None:
-    parser.add_argument("--workers", type=int, default=4,
-                        help="simulated CPU workers in the pool (default 4)")
-    parser.add_argument("--gpu-slots", type=int, default=1,
-                        help="concurrent GPU leases (default 1, the paper testbed)")
-    parser.add_argument("--requests", type=int, default=100,
-                        help="workload size (default 100)")
-    parser.add_argument("--queue-limit", type=int, default=64,
-                        help="admission limit per priority lane (default 64)")
-    parser.add_argument("--graph-n", type=int, default=600,
-                        help="vertices of the workload graphs (default 600)")
-    parser.add_argument("--no-cache", action="store_true",
-                        help="disable the fingerprint result cache")
-    parser.add_argument("--no-batching", action="store_true",
-                        help="disable identical-graph batch amortization")
-
-
-def _run_service_load(args, *, verify: bool) -> dict:
-    """Build the standard workload, serve it, and return the report."""
-    from .service import (
-        PartitionService,
-        ServiceConfig,
-        WorkloadSpec,
-        build_workload,
-        run_load,
-    )
-
-    spec = WorkloadSpec(requests=args.requests, graph_n=args.graph_n)
-    service = PartitionService(
-        ServiceConfig(
-            num_workers=args.workers,
-            gpu_slots=args.gpu_slots,
-            queue_limit=args.queue_limit,
-            cache_enabled=not args.no_cache,
-            batching=not args.no_batching,
-        )
-    )
-    report = run_load(service, build_workload(spec), verify=verify)
-    report["config"] = {
-        "workers": args.workers,
-        "gpu_slots": args.gpu_slots,
-        "requests": args.requests,
-        "queue_limit": args.queue_limit,
-        "graph_n": args.graph_n,
-        "cache": not args.no_cache,
-        "batching": not args.no_batching,
-    }
-    return report
 
 
 def _render_service_report(report: dict) -> None:
@@ -488,14 +434,42 @@ def _render_service_report(report: dict) -> None:
 
 def _cmd_serve(args) -> int:
     from .obs import ledger as ledger_mod
+    from .service import (
+        PartitionService,
+        ServiceConfig,
+        WorkloadSpec,
+        build_workload,
+        run_load,
+    )
 
-    if getattr(args, "ledger", None):
+    service = PartitionService(
+        ServiceConfig(
+            num_workers=args.workers,
+            gpu_slots=args.gpu_slots,
+            queue_limit=args.queue_limit,
+            cache_enabled=not args.no_cache,
+            batching=not args.no_batching,
+        )
+    )
+    workload = build_workload(
+        WorkloadSpec(requests=args.requests, graph_n=args.graph_n)
+    )
+    if args.ledger:
         ledger_mod.set_default_ledger(args.ledger)
     try:
-        report = _run_service_load(args, verify=args.verify)
+        report = run_load(service, workload, verify=args.verify)
     finally:
-        if getattr(args, "ledger", None):
+        if args.ledger:
             ledger_mod.set_default_ledger(None)
+    report["config"] = {
+        "workers": args.workers,
+        "gpu_slots": args.gpu_slots,
+        "requests": args.requests,
+        "queue_limit": args.queue_limit,
+        "graph_n": args.graph_n,
+        "cache": not args.no_cache,
+        "batching": not args.no_batching,
+    }
     _render_service_report(report)
     if args.json:
         import json
@@ -507,47 +481,6 @@ def _cmd_serve(args) -> int:
     if args.verify and not report["verification"]["ok"]:
         failed = True
     return 1 if failed else 0
-
-
-def _cmd_bench_service(args) -> int:
-    """``bench --service``: the load driver with verification gates.
-
-    Exit 0 requires: every request completed (none dropped), at least
-    one cache hit, and every service result identical to a direct
-    synchronous run.
-    """
-    import json
-
-    report = _run_service_load(args, verify=True)
-    _render_service_report(report)
-    checks = [
-        ("all requests completed",
-         report["completed"] == report["requests"] and not report["dropped"]),
-        ("no failed requests", report["failed"] == 0),
-        ("cache produced at least one hit", report["cache_hits"] >= 1),
-        ("latency percentiles reported",
-         report["service"]["latency_p50"] is not None
-         and report["service"]["latency_p95"] is not None),
-        ("service results match direct partition()",
-         report["verification"]["ok"]),
-        ("request spans share their ticket's trace id",
-         report["tracing"]["spans_share_trace"]
-         and report["tracing"]["trace_ids_present"]
-         and report["tracing"]["trace_ids_unique"]),
-        ("attribution buckets sum to latency (1e-6)",
-         report["tracing"]["attribution_sums_to_latency"]),
-    ]
-    ok = True
-    for label, passed in checks:
-        print(("PASS" if passed else "FAIL"), label)
-        ok = ok and passed
-    out = args.json if args.json != "BENCH_results.json" else "BENCH_service.json"
-    if not args.no_json:
-        with open(out, "w") as fh:
-            json.dump(report, fh, indent=2, sort_keys=True, default=str)
-        print(f"wrote {out} (machine-readable service report)")
-    print("service bench:", "PASS" if ok else "FAIL")
-    return 0 if ok else 1
 
 
 def _select_fault_plan(args):
@@ -943,8 +876,6 @@ def _cmd_generate(args) -> int:
 def _cmd_bench(args) -> int:
     from .bench import DEFAULT_METHODS
 
-    if args.service:
-        return _cmd_bench_service(args)
     extra = {}
     if args.datasets:
         extra["datasets"] = tuple(args.datasets.split(","))
@@ -1023,74 +954,6 @@ def _cmd_analyze(args) -> int:
     return 0
 
 
-def _cmd_sanitize(args) -> int:
-    """Self-check the race sanitizer: clean pipeline, then a planted race."""
-    import numpy as np
-
-    from .gpmetis.kernels.matching import gpu_match
-    from .gpusim.device import Device
-    from .gpusim.transfer import transfer_graph_to_device
-    from .runtime.clock import SimClock
-    from .runtime.machine import PAPER_MACHINE
-
-    if args.schedules < 1:
-        print("--schedules must be >= 1", file=sys.stderr)
-        return 2
-    if args.n < 3000:
-        print(f"-n {args.n} is below the GPU threshold; the clean-run check "
-              "needs a graph the GPU path actually executes (>= 3000)",
-              file=sys.stderr)
-        return 2
-
-    ok = True
-
-    # 1. The full GP-metis pipeline must be race-free under fuzzing.
-    graph = gen.delaunay(args.n, seed=args.seed)
-    result = api.partition(
-        graph, 8, method="gp-metis", seed=args.seed,
-        sanitize=True, fuzz_schedules=args.schedules, gpu_threshold_min=2048,
-    )
-    san = result.extras["sanitizer"]
-    print(san.summary())
-    kernels = san.kernels_checked()
-    families = sorted({name.split(".")[-1].split("_")[0] for name in kernels})
-    print(f"kernels checked: {sorted(kernels)}")
-    if not san.race_free:
-        print("FAIL clean pipeline reported races:")
-        for r in san.racy_reports:
-            print(r.render())
-        ok = False
-    else:
-        print(f"PASS clean pipeline race-free ({len(san.reports)} launches, "
-              f"families: {', '.join(families)})")
-    if not any(n.startswith("coarsen.match") for n in kernels):
-        print("FAIL clean run never reached the GPU matching kernel")
-        ok = False
-
-    # 2. Disabling conflict resolution must be caught (mutation self-check).
-    star = gen.star_graph(64)
-    dev = Device(PAPER_MACHINE.gpu, SimClock())
-    mut = dev.enable_sanitizer(fuzz_schedules=args.schedules, seed=args.seed)
-    d_csr = transfer_graph_to_device(dev, star, PAPER_MACHINE.interconnect)
-    gpu_match(
-        dev, d_csr, star, n_threads=32, scheme="hem",
-        rng=np.random.default_rng(args.seed), resolve_conflicts=False,
-    )
-    if mut.num_races:
-        kinds = sorted({
-            f.kind for r in mut.racy_reports for f in r.findings
-            if f.severity == "race"
-        })
-        print(f"PASS mutation detected: {mut.num_races} race(s) "
-              f"({', '.join(kinds)}) with resolution disabled")
-    else:
-        print("FAIL mutation not detected: resolution disabled but no race flagged")
-        ok = False
-
-    print("sanitizer self-check:", "PASS" if ok else "FAIL")
-    return 0 if ok else 1
-
-
 def _cmd_faults(args) -> int:
     from .obs import ledger as ledger_mod
 
@@ -1102,8 +965,6 @@ def _cmd_faults(args) -> int:
         print(f"wrote {args.emit_plan} ({len(plan.specs)} spec(s), "
               f"seed {plan.seed})")
         return 0
-    if args.self_check:
-        return _faults_self_check(args)
 
     graph = read_graph(args.graph) if args.graph else gen.delaunay(
         args.n, seed=args.seed
@@ -1138,97 +999,6 @@ def _cmd_faults(args) -> int:
     return 0
 
 
-def _faults_self_check(args) -> int:
-    """Mutation-style proof that the recovery machinery carries the run.
-
-    1. GP-metis under the exhaustive built-in plan must finish with a
-       valid, balanced k-way partition flagged ``degraded``, and the
-       ledger record must carry the fault/recovery evidence.
-    2. The identical plan with recovery disabled must fail on an
-       injected fault — showing the pass above is the recovery code's
-       doing, not the faults being harmless.
-    """
-    import os
-    import tempfile
-
-    from .faults import FaultPlan
-    from .graphs.metrics import imbalance as imbalance_of
-    from .obs import ledger as ledger_mod
-
-    ok = True
-    plan = FaultPlan.full(args.seed)
-    graph = gen.delaunay(args.n, seed=args.seed)
-    k = args.k
-    ubfactor = 1.03
-    print(f"graph: {graph}")
-    print(f"plan : exhaustive, seed {args.seed}, {len(plan.specs)} spec(s) "
-          "covering every injection site")
-
-    # 1. Recovery on: survive, degrade, and leave evidence in the ledger.
-    with tempfile.TemporaryDirectory() as tmpdir:
-        ledger_path = os.path.join(tmpdir, "faults.jsonl")
-        ledger_mod.set_default_ledger(ledger_path)
-        try:
-            result = api.partition(
-                graph, k, method="gp-metis", seed=args.seed, ubfactor=ubfactor,
-                fault_plan=plan, gpu_threshold_min=2048,
-            )
-        except ReproError as exc:
-            print(f"FAIL recovery-enabled run died: {type(exc).__name__}: {exc}")
-            ledger_mod.set_default_ledger(None)
-            print("faults self-check: FAIL")
-            return 1
-        finally:
-            ledger_mod.set_default_ledger(None)
-        record = ledger_mod.read_ledger(ledger_path)[-1]
-
-    part = result.part
-    events = result.extras.get("fault_events", [])
-    injected = sum(1 for e in events if e.category == "fault")
-    recovered = sum(1 for e in events if e.category == "recovery")
-    checks = [
-        ("partition covers all k parts",
-         part.shape[0] == graph.num_vertices
-         and set(part.tolist()) == set(range(k))),
-        (f"imbalance within tolerance ({ubfactor})",
-         imbalance_of(graph, part, k) <= ubfactor + 1e-9),
-        ("result flagged degraded", bool(result.extras.get("degraded"))),
-        (f"faults were injected ({injected})", injected > 0),
-        (f"recoveries were taken ({recovered})", recovered > 0),
-        ("ledger record carries fault metrics",
-         any(key.startswith("faults.injected")
-             for key in record["metrics"]["counters"])
-         and any(key.startswith("faults.recovered")
-                 for key in record["metrics"]["counters"])),
-        ("ledger record flagged degraded",
-         bool(record["run"].get("degraded"))),
-    ]
-    for label, passed in checks:
-        print(("PASS" if passed else "FAIL"), label)
-        ok = ok and passed
-
-    # 2. Mutation: the same plan with recovery off must fail.
-    try:
-        api.partition(
-            graph, k, method="gp-metis", seed=args.seed, ubfactor=ubfactor,
-            fault_plan=plan, fault_recovery=False, gpu_threshold_min=2048,
-        )
-        print("FAIL mutation not detected: recovery disabled but the run "
-              "still completed")
-        ok = False
-    except ReproError as exc:
-        if getattr(exc, "injected", False):
-            print(f"PASS mutation detected: recovery off -> "
-                  f"{type(exc).__name__}: {exc}")
-        else:
-            print(f"FAIL recovery-off run died on a non-injected error: "
-                  f"{type(exc).__name__}: {exc}")
-            ok = False
-
-    print("faults self-check:", "PASS" if ok else "FAIL")
-    return 0 if ok else 1
-
-
 def _cmd_roofline(args) -> int:
     import json as json_mod
 
@@ -1241,7 +1011,15 @@ def _cmd_roofline(args) -> int:
 
     if args.ledger:
         path, _, idx = args.ledger.partition(":")
-        records = ledger_mod.read_ledger(path)
+        if idx and not _is_int(idx):
+            print(f"error: {args.ledger}: index {idx!r} is not an integer",
+                  file=sys.stderr)
+            return 2
+        try:
+            records = ledger_mod.read_ledger(path)
+        except (OSError, ValueError) as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
         try:
             record = records[int(idx) if idx else -1]
         except IndexError:
@@ -1333,6 +1111,12 @@ def _cmd_roofline(args) -> int:
     return 0
 
 
+def _cmd_selfcheck(args) -> int:
+    from .selfcheck import run_selfcheck
+
+    return 0 if run_selfcheck() else 1
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     handler = {
@@ -1347,10 +1131,10 @@ def main(argv=None) -> int:
         "slo": _cmd_slo,
         "gate": _cmd_gate,
         "analyze": _cmd_analyze,
-        "sanitize": _cmd_sanitize,
         "faults": _cmd_faults,
         "roofline": _cmd_roofline,
         "serve": _cmd_serve,
+        "selfcheck": _cmd_selfcheck,
     }[args.command]
     try:
         return handler(args)

@@ -16,7 +16,8 @@ Entry points:
 * options: every engine takes ``fault_plan=...`` (a plan, dict, or JSON
   path) and ``fault_recovery=True/False``;
 * CLI: ``python -m repro faults`` (run under a plan, print the fault and
-  recovery log) and ``python -m repro faults --self-check``;
+  recovery log); ``python -m repro selfcheck`` runs the exhaustive plan
+  with recovery on and off;
 * docs: ``docs/FAULTS.md`` documents the sites, the plan schema and each
   engine's degradation ladder.
 """

@@ -17,8 +17,8 @@ schedules land in the run ledger.
 
 The injector also carries the run's single recovery switch
 (:attr:`recover`): engines consult it before retrying or degrading, and
-``python -m repro faults --self-check`` flips it off to prove the
-recovery machinery is what keeps a faulted run alive.
+``python -m repro selfcheck`` flips it off to prove the recovery
+machinery is what keeps a faulted run alive.
 """
 
 from __future__ import annotations

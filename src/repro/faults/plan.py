@@ -14,7 +14,7 @@ Plans come from three places:
 * a seed (:func:`FaultPlan.from_seed`, ``--fault-seed N``): a small
   random plan drawn deterministically over all sites;
 * :func:`FaultPlan.full`: one spec per site/kind — the worst-case
-  storm the ``--self-check`` must survive.
+  storm ``repro selfcheck`` must survive.
 
 Schema (``repro.faults.plan/1``)::
 
@@ -174,7 +174,7 @@ class FaultPlan:
 
         ``transfer.*``/``fail`` specs are *unlimited* (persistently broken
         PCIe), so retries cannot mask them — the engine must walk its full
-        degradation ladder.  This is the plan ``--self-check`` runs under.
+        degradation ladder.  This is the plan ``repro selfcheck`` runs under.
         """
         specs = []
         for site, kinds in sorted(SITES.items()):

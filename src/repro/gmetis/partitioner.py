@@ -49,7 +49,7 @@ class GmetisOptions:
     #: dict, or a path to a plan JSON file.  ``None`` disables injection.
     fault_plan: object = None
     #: Respond to injected faults with retry/degradation (True) or let
-    #: them crash the run (False — the faults self-check's mutation).
+    #: them crash the run (False — the mutation ``repro selfcheck`` runs).
     fault_recovery: bool = True
 
     def __post_init__(self) -> None:

@@ -4,7 +4,7 @@ from .hybrid import GpuLevel, HybridOutcome, run_hybrid
 from .memory_planning import MemoryPlan, plan_device_memory
 from .options import GPMetisOptions
 from .partitioner import GPMetis
-from .thresholds import breakeven_estimate, gpu_stop_size, should_run_level_on_gpu
+from .thresholds import breakeven_estimate, gpu_stop_size
 
 __all__ = [
     "GPMetis",
@@ -15,6 +15,5 @@ __all__ = [
     "HybridOutcome",
     "GpuLevel",
     "gpu_stop_size",
-    "should_run_level_on_gpu",
     "breakeven_estimate",
 ]

@@ -38,8 +38,8 @@ persistently failing PCIe links — walks the ladder:
 Every rung records a recovery event, keeps the result a valid k-way
 partition, and marks the outcome ``degraded`` when the execution path
 changed.  With the injector's recovery switch off, the first
-unrecovered fault propagates instead — the ``faults --self-check``
-mutation.
+unrecovered fault propagates instead — the mutation ``repro selfcheck``
+runs.
 """
 
 from __future__ import annotations

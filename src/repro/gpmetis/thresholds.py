@@ -15,7 +15,7 @@ from __future__ import annotations
 from ..runtime.machine import GpuSpec
 from .options import GPMetisOptions
 
-__all__ = ["gpu_stop_size", "should_run_level_on_gpu"]
+__all__ = ["gpu_stop_size"]
 
 
 def gpu_stop_size(opts: GPMetisOptions, k: int) -> int:
@@ -25,10 +25,6 @@ def gpu_stop_size(opts: GPMetisOptions, k: int) -> int:
     levels of its own only if the switch size exceeds the target.
     """
     return max(opts.gpu_threshold(k), opts.coarsen_target(k))
-
-
-def should_run_level_on_gpu(num_vertices: int, opts: GPMetisOptions, k: int) -> bool:
-    return num_vertices > gpu_stop_size(opts, k)
 
 
 def breakeven_estimate(gpu: GpuSpec, cpu_edge_ops_per_sec: float, avg_degree: float) -> float:

@@ -1,12 +1,11 @@
 """Simulated SIMT GPU: device memory, kernels, coalescing, scans, atomics,
 and an opt-in data-race sanitizer with schedule fuzzing."""
 
-from .atomics import atomic_add_scalar, atomic_append
+from .atomics import atomic_append
 from .device import Device, KernelContext
 from .sanitizer import LaunchRaceReport, RaceFinding, RaceSanitizer
 from .hashtable import ClusteredHashTable, charge_hash_merge, hash_table_bytes
 from .memory import DeviceArray, stream_transactions, warp_transactions
-from .reduce import device_count_nonzero, device_max, device_sum
 from .scan import exclusive_scan, inclusive_scan
 from .simt import divergence_factor, grid_for, threads_for_items, warp_divergent_ops
 from .sort import charge_thread_quicksort, thread_sort_dedup
@@ -24,11 +23,7 @@ __all__ = [
     "stream_transactions",
     "inclusive_scan",
     "exclusive_scan",
-    "device_sum",
-    "device_max",
-    "device_count_nonzero",
     "atomic_append",
-    "atomic_add_scalar",
     "ClusteredHashTable",
     "charge_hash_merge",
     "hash_table_bytes",

@@ -17,7 +17,7 @@ import numpy as np
 
 from .device import KernelContext
 
-__all__ = ["atomic_append", "atomic_add_scalar"]
+__all__ = ["atomic_append"]
 
 
 def atomic_append(
@@ -61,8 +61,3 @@ def atomic_append(
     else:
         k.atomic(n, distinct_targets=distinct)
     return slots
-
-
-def atomic_add_scalar(k: KernelContext, n_ops: int) -> None:
-    """n_ops atomicAdds all hitting one address (worst-case contention)."""
-    k.atomic(int(n_ops), distinct_targets=1)

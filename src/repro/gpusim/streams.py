@@ -26,7 +26,7 @@ stream.  This module gives the simulator the same vocabulary:
 The simulation itself stays eager — data moves when the call is made —
 only the *accounting* is deferred onto the track.  That keeps partition
 vectors byte-identical between the overlapped and serial schedules,
-which is exactly the differential oracle ``make overlap-smoke`` checks.
+which is exactly the differential oracle ``repro selfcheck`` checks.
 """
 
 from __future__ import annotations

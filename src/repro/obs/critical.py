@@ -27,7 +27,6 @@ from __future__ import annotations
 __all__ = [
     "BUCKETS",
     "phase_bucket",
-    "engine_phases",
     "ticket_attribution",
     "ticket_critical_path",
     "request_entry",
@@ -71,19 +70,6 @@ def phase_bucket(phase: str) -> str:
     if "initpart" in p or "initial" in p:
         return "initpart"
     return "other"
-
-
-def engine_phases(result) -> list[tuple[str, float]]:
-    """Ordered (phase, seconds) pairs of a result's engine run."""
-    profiler = getattr(result, "profiler", None)
-    if profiler is not None:
-        return [
-            (span.name, span.duration)
-            for span in profiler.root.children
-            if span.category == "phase" and span.closed
-        ]
-    # No profiler attached: fall back to the clock's phase totals.
-    return list(result.clock.seconds_by_phase().items())
 
 
 def _phase_rows(result) -> list[tuple[str, float, float]]:

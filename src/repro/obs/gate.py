@@ -58,6 +58,8 @@ __all__ = [
     "resolve_quantity",
     "evaluate_gate",
     "render_gate",
+    "gate_run",
+    "run_workload",
     "collect_workload_records",
     "GATE_GRAPH_N",
     "GATE_K",
@@ -298,40 +300,55 @@ GATE_PAPER_SCALES: dict[str, float] = {
 }
 
 
-def collect_workload_records() -> list[dict]:
-    """Freshly profile the standard gate workload into ledger records.
+def gate_run(graph, method: str, **overrides):
+    """One gate-workload engine run: ``method`` on ``graph`` at
+    ``GATE_K`` and ``GATE_SEED`` with its ``GATE_METHODS`` options, plus
+    ``overrides`` (the self-check's streams-off reruns pass one)."""
+    # Imported lazily: repro.api pulls in every engine, which itself
+    # imports repro.obs.
+    from ..api import partition
+
+    result = partition(
+        graph, GATE_K, method=method, seed=GATE_SEED,
+        **{**GATE_METHODS[method], **overrides},
+    )
+    if result.profiler is None:
+        raise RuntimeError(f"method {method!r} did not attach a profiler")
+    return result
+
+
+def run_workload() -> tuple[list[tuple], list[dict]]:
+    """Run the standard gate workload once.
 
     The core workload (``GATE_METHODS`` on the Delaunay mesh), then one
     gp-metis run per Table I analogue dataset (``GATE_PAPER_SCALES``) —
     the workload the paper's end-to-end claim and the async-streams
-    overlap win are asserted on — and one ``engine="service"`` record
-    covering the concurrent partition service (a fixed mixed workload
-    on a 4-worker pool), so ``metric:service.*`` rules gate throughput,
-    latency percentiles and cache behaviour alongside the engine runs.
+    overlap win are asserted on — and one concurrent partition service
+    drain (a fixed mixed workload on a 4-worker pool).
+
+    Returns ``(runs, records)``: ``runs`` holds one ``(graph, result)``
+    pair per engine run, in that order, and ``records`` their ledger
+    records followed by the drain's ``engine="service"`` record, so
+    ``metric:service.*`` rules gate throughput, latency percentiles and
+    cache behaviour alongside the engine runs.
     """
-    # Imported lazily: repro.api pulls in every engine, which itself
-    # imports repro.obs.
-    from ..api import partition
     from ..graphs.datasets import PAPER_DATASETS
     from ..graphs.generators import delaunay
     from .ledger import ledger_record
 
-    def record(graph, method: str) -> dict:
-        result = partition(
-            graph, GATE_K, method=method, seed=GATE_SEED, **GATE_METHODS[method]
-        )
-        if result.profiler is None:
-            raise RuntimeError(f"method {method!r} did not attach a profiler")
-        return ledger_record(result.profiler)
-
     mesh = delaunay(GATE_GRAPH_N, seed=GATE_SEED)
-    records = [record(mesh, method) for method in GATE_METHODS]
-    records += [
-        record(PAPER_DATASETS[name].build(scale=scale, seed=GATE_SEED), "gp-metis")
-        for name, scale in GATE_PAPER_SCALES.items()
-    ]
+    runs = [(mesh, gate_run(mesh, method)) for method in GATE_METHODS]
+    for name, scale in GATE_PAPER_SCALES.items():
+        graph = PAPER_DATASETS[name].build(scale=scale, seed=GATE_SEED)
+        runs.append((graph, gate_run(graph, "gp-metis")))
+    records = [ledger_record(result.profiler) for _, result in runs]
     records.append(_service_workload_record())
-    return records
+    return runs, records
+
+
+def collect_workload_records() -> list[dict]:
+    """Freshly profile the standard gate workload into ledger records."""
+    return run_workload()[1]
 
 
 def _service_workload_record() -> dict:

@@ -381,10 +381,8 @@ def hw_metrics(m, section: dict) -> None:
         m.counter("hw.pcie.transfers").inc(pcie["transfers"])
         m.counter("hw.pcie.bytes").inc(pcie["bytes"])
         m.counter("hw.pcie.seconds").inc(pcie["seconds"])
-        m.counter("hw.pcie.exposed_seconds").inc(
-            pcie.get("exposed_seconds", pcie["seconds"])
-        )
-        m.gauge("hw.pcie.overlap_ratio").set(pcie.get("overlap_ratio", 0.0))
+        m.counter("hw.pcie.exposed_seconds").inc(pcie["exposed_seconds"])
+        m.gauge("hw.pcie.overlap_ratio").set(pcie["overlap_ratio"])
         m.gauge("hw.pcie.util").set(pcie["utilization"])
         m.gauge("hw.pcie.alpha_share").set(pcie["alpha_share"])
     gpu = section.get("gpu")

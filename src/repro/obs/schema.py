@@ -1,6 +1,6 @@
 """Structural validation of the exported JSON documents.
 
-Pure-Python checks (no jsonschema dependency): ``make profile-smoke``
+Pure-Python checks (no jsonschema dependency): ``repro selfcheck``
 and the run ledger call these so a malformed export fails loudly
 instead of silently producing a trace Perfetto cannot open.
 """

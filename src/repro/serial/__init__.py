@@ -4,7 +4,6 @@ from .bisection import bisect_once, recursive_bisection
 from .coarsen import CoarseningLevel, coarsen_graph
 from .contraction import build_cmap, contract
 from .fm import FMResult, bisection_gains, fm_refine_bisection
-from .gain_buckets import GainBuckets, fm_refine_bisection_buckets
 from .gggp import gggp_bisect, grow_region
 from .kway import (
     KwayPassResult,
@@ -33,8 +32,6 @@ __all__ = [
     "grow_region",
     "FMResult",
     "fm_refine_bisection",
-    "fm_refine_bisection_buckets",
-    "GainBuckets",
     "bisection_gains",
     "recursive_bisection",
     "bisect_once",

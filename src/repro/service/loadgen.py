@@ -1,10 +1,10 @@
 """Load driver: deterministic mixed workloads against the service.
 
-``python -m repro bench --service`` and ``python -m repro serve`` both
-drive a :class:`~repro.service.PartitionService` with the workload built
-here: a round-robin mix of engines, k values and seeds over a couple of
-small graphs, with deliberate repeats so the fingerprint cache sees
-hits.  The driver handles backpressure (an overloaded lane triggers a
+``python -m repro serve`` and ``python -m repro selfcheck`` both drive a
+:class:`~repro.service.PartitionService` with the workload built here:
+a round-robin mix of engines, k values and seeds over a couple of small
+graphs, with deliberate repeats so the fingerprint cache sees hits.
+:func:`run_load` handles backpressure (an overloaded lane triggers a
 drain, then the submission is replayed — nothing is dropped below the
 admission limit) and can differentially verify every unique
 configuration against a direct :func:`repro.partition` call.

@@ -607,7 +607,7 @@ class PartitionService:
                 continue
             p = run_hw["pcie"]
             nbytes, transfers, seconds = p["bytes"], p["transfers"], p["seconds"]
-            exposed = p.get("exposed_seconds", seconds)
+            exposed = p["exposed_seconds"]
             if t.amortized_seconds > 0.0:
                 csr_bytes, csr_transfers = _csr_setup_bytes(t.result)
                 nbytes = max(0.0, nbytes - csr_bytes)

@@ -18,6 +18,7 @@ from repro.exceptions import ReproError, TransferError
 from repro.faults import FaultPlan, FaultSpec
 from repro.graphs import generators
 from repro.graphs.metrics import edge_cut, imbalance
+from repro.obs.ledger import ledger_record
 
 K = 4
 SEED = 3
@@ -142,6 +143,12 @@ class TestGPMetisLadder:
         assert_valid(grid, result)
         assert result.extras["degraded"] is True
         assert result.extras["fault_events"]
+        # The ledger record carries the same evidence.
+        record = ledger_record(result.profiler)
+        counters = record["metrics"]["counters"]
+        assert any(key.startswith("faults.injected") for key in counters)
+        assert any(key.startswith("faults.recovered") for key in counters)
+        assert record["run"]["degraded"] is True
 
     def test_recovery_off_raises_injected(self, grid):
         plan = FaultPlan(specs=(

@@ -1,4 +1,4 @@
-"""Unit + property tests for scans, reductions, SIMT, atomics, sort, hash."""
+"""Unit + property tests for scans, SIMT, atomics, sort, hash."""
 
 import numpy as np
 import pytest
@@ -9,9 +9,6 @@ from repro.gpusim import (
     ClusteredHashTable,
     Device,
     atomic_append,
-    device_count_nonzero,
-    device_max,
-    device_sum,
     divergence_factor,
     exclusive_scan,
     grid_for,
@@ -69,14 +66,6 @@ class TestScans:
         exc = exclusive_scan(dev, dev.adopt(arr.copy()))
         assert np.array_equal(inc.data, np.cumsum(arr))
         assert np.array_equal(exc.data[1:], np.cumsum(arr)[:-1])
-
-
-class TestReductions:
-    def test_sum_max_nnz(self, dev):
-        vals = np.array([0, 5, 0, 3, 9])
-        assert device_sum(dev, dev.adopt(vals.copy())) == 17
-        assert device_max(dev, dev.adopt(vals.copy())) == 9
-        assert device_count_nonzero(dev, dev.adopt(vals.copy())) == 3
 
 
 class TestSimt:

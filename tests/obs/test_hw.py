@@ -158,6 +158,17 @@ class TestRendering:
         assert "ridge at" in chart
         assert " a = " in chart  # at least one lettered kernel
 
+    def test_committed_ledger_newest_record_renders(self, capsys):
+        from repro.cli import main
+        from repro.obs import read_ledger
+
+        ledger = "benchmarks/BENCH_ledger.jsonl"
+        gpu = read_ledger(ledger)[-1]["hw"]["gpu"]
+        assert render_roofline_chart(gpu)
+        assert "TOTAL" in render_kernel_table(gpu)
+        assert main(["roofline", "--ledger", ledger, "--no-chart"]) == 0
+        assert "machine" in capsys.readouterr().out
+
 
 class TestSchemaValidation:
     def test_rejects_missing_schema(self, graph):

@@ -319,6 +319,16 @@ class TestCliSlo:
         assert rc == 1
         assert "FAIL" in capsys.readouterr().out
 
+    def test_committed_ledger_meets_policy(self, capsys):
+        from repro.cli import main
+
+        # Baselined against itself, so the quality ratios evaluate to 1.
+        ledger = "benchmarks/BENCH_ledger.jsonl"
+        rc = main(["slo", ledger, "--policy", "benchmarks/slo_policy.json",
+                   "--baseline", ledger])
+        assert rc == 0
+        assert "FAIL" not in capsys.readouterr().out
+
     def test_bad_policy_exit_two(self, tmp_path, capsys):
         from repro.cli import main
 

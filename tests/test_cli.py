@@ -28,6 +28,7 @@ class TestParser:
             ["report", "--ledger", "a.jsonl"],
             ["gate", "--baseline", "a.jsonl"],
             ["roofline", "--ledger", "a.jsonl"],
+            ["selfcheck"],
         ):
             args = parser.parse_args(argv)
             assert args.command == argv[0]
@@ -241,6 +242,31 @@ class TestBenchJson:
         ])
         assert rc == 0
         assert not (tmp_path / "BENCH_results.json").exists()
+
+
+class TestServeCommand:
+    def test_verified_load_feeds_slo_and_trace(self, tmp_path, capsys):
+        import json
+
+        from repro.obs.schema import validate_chrome_trace
+
+        report = tmp_path / "serve.json"
+        ledger = tmp_path / "served.jsonl"
+        trace = tmp_path / "trace.json"
+        rc = main([
+            "serve", "--requests", "60", "--graph-n", "300", "--verify",
+            "--json", str(report), "--ledger", str(ledger),
+        ])
+        assert rc == 0
+        doc = json.loads(report.read_text())
+        assert doc["verification"]["ok"]
+        assert doc["cache_hits"] >= 1
+        assert doc["tracing"]["ok"]
+        assert main([
+            "slo", str(ledger), "--policy", "benchmarks/slo_policy.json",
+        ]) == 0
+        assert main(["trace", str(ledger), "--trace-out", str(trace)]) == 0
+        validate_chrome_trace(json.loads(trace.read_text()))
 
 
 class TestInfoCommand:

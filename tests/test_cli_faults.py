@@ -1,10 +1,11 @@
 """CLI tests for the ``faults`` command and input error hardening.
 
-``repro gate`` and ``repro compare`` must fail with exit 2 and an
-``error:`` line on stderr for malformed or empty ledger input (not a
-traceback), as must every command on a malformed graph file; the
-``faults`` command's plan selection, self-check and no-recover modes
-must behave.
+``repro gate``, ``repro compare`` and ``repro roofline`` must fail with
+exit 2 and an ``error:`` line on stderr for malformed or missing ledger
+input (not a traceback), as must every command on a malformed graph
+file; the ``faults`` command's plan selection and no-recover modes must
+behave, and so must the recovery self-check (the fault group of
+``repro selfcheck``).
 """
 
 import json
@@ -16,6 +17,7 @@ from pathlib import Path
 import pytest
 
 import repro
+from repro import selfcheck
 from repro.cli import main
 from repro.faults import FaultPlan, load_plan
 from repro.obs.ledger import set_default_ledger
@@ -54,11 +56,13 @@ def good_ledger(tmp_path):
 
 
 class TestLedgerErrorPaths:
-    @pytest.mark.parametrize("cmd", ["gate", "compare"])
+    @pytest.mark.parametrize("cmd", ["gate", "compare", "roofline"])
     def test_malformed_ledger_exits_2(self, cmd, bad_ledger, good_ledger,
                                       capsys):
         if cmd == "gate":
             argv = ["gate", "--current", bad_ledger, "--baseline", good_ledger]
+        elif cmd == "roofline":
+            argv = ["roofline", "--ledger", bad_ledger]
         else:
             argv = ["compare", bad_ledger, good_ledger]
         assert main(argv) == 2
@@ -79,14 +83,20 @@ class TestLedgerErrorPaths:
         assert err.startswith("error:")
         assert "ledger is empty" in err
 
-    @pytest.mark.parametrize("cmd", ["gate", "compare"])
+    @pytest.mark.parametrize("cmd", ["gate", "compare", "roofline"])
     def test_missing_ledger_exits_2(self, cmd, tmp_path, good_ledger, capsys):
         missing = str(tmp_path / "nope.jsonl")
         if cmd == "gate":
             argv = ["gate", "--current", missing, "--baseline", good_ledger]
+        elif cmd == "roofline":
+            argv = ["roofline", "--ledger", missing]
         else:
             argv = ["compare", missing, good_ledger]
         assert main(argv) == 2
+        assert capsys.readouterr().err.startswith("error:")
+
+    def test_roofline_non_integer_index_exits_2(self, good_ledger, capsys):
+        assert main(["roofline", "--ledger", f"{good_ledger}:last"]) == 2
         assert capsys.readouterr().err.startswith("error:")
 
     def test_gate_malformed_baseline_exits_2(self, good_ledger, bad_ledger,
@@ -115,11 +125,10 @@ class TestGraphFileErrors:
 
 class TestFaultsCommand:
     def test_self_check_passes(self, capsys):
-        assert main(["faults", "--self-check", "-n", "5000"]) == 0
+        assert selfcheck.run_selfcheck((selfcheck.fault_checks,)) is True
         out = capsys.readouterr().out
-        assert "faults self-check: PASS" in out
         assert "FAIL" not in out
-        assert "mutation detected" in out
+        assert "PASS faults: recovery off dies on an injected fault" in out
 
     def test_emit_plan_roundtrips(self, tmp_path, capsys):
         path = tmp_path / "plan.json"
