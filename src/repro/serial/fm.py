@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ..exceptions import InvalidParameterError
 from ..graphs.csr import CSRGraph
 
 __all__ = ["FMResult", "fm_refine_bisection", "bisection_gains"]
@@ -57,6 +58,16 @@ def fm_refine_bisection(
     """
     part = np.asarray(part, dtype=np.int64).copy()
     n = graph.num_vertices
+    if part.shape != (n,):
+        raise InvalidParameterError(
+            f"part has shape {part.shape}, expected ({n},)"
+        )
+    if np.any((part != 0) & (part != 1)):
+        raise InvalidParameterError("bisection labels must be 0 or 1")
+    if pinned is not None and np.shape(pinned) != (n,):
+        raise InvalidParameterError(
+            f"pinned has shape {np.shape(pinned)}, expected ({n},)"
+        )
     if n == 0:
         return FMResult(part, 0, 0, 0)
     pinned_mask = (

@@ -9,8 +9,11 @@ seeds are run and the best cut wins.
 
 from __future__ import annotations
 
+import heapq
+
 import numpy as np
 
+from ..exceptions import InvalidParameterError
 from ..graphs.csr import CSRGraph
 from ..graphs.metrics import edge_cut
 
@@ -24,52 +27,69 @@ def grow_region(
 
     Returns a 0/1 label array (1 = inside the region).  Gain of a frontier
     vertex = (edge weight into the region) - (edge weight out of it); the
-    maximal-gain vertex is absorbed each step.  If the frontier empties
-    while underweight (disconnected graph), growth restarts from the
-    lightest outside vertex.
+    maximal-gain vertex is absorbed each step, the lowest id on ties.  The
+    frontier is a max-heap keyed ``(-gain, vertex)`` with lazy
+    invalidation: an entry is live only while its vertex is in the
+    frontier with exactly that gain.  If the frontier empties while
+    underweight (disconnected graph), growth restarts from the lightest
+    outside vertex, the lowest id on ties.
     """
     n = graph.num_vertices
-    inside = np.zeros(n, dtype=bool)
-    gain = np.full(n, -np.inf)
-    in_frontier = np.zeros(n, dtype=bool)
-
-    adjp, adjncy, adjwgt = graph.adjp, graph.adjncy, graph.adjwgt
-
-    def absorb(v: int) -> None:
-        inside[v] = True
-        in_frontier[v] = False
-        gain[v] = -np.inf
-        s, e = adjp[v], adjp[v + 1]
-        nbrs = adjncy[s:e]
-        ws = adjwgt[s:e]
-        outs = ~inside[nbrs]
-        for u, w in zip(nbrs[outs], ws[outs]):
-            if not in_frontier[u]:
-                # First sighting: gain = w(u->region) - w(u->rest).
-                us, ue = adjp[u], adjp[u + 1]
-                unbrs = adjncy[us:ue]
-                uws = adjwgt[us:ue]
-                to_in = int(uws[inside[unbrs]].sum())
-                gain[u] = 2 * to_in - int(uws.sum())
-                in_frontier[u] = True
-            else:
-                gain[u] += 2 * int(w)
+    if not 0 <= seed_vertex < n:
+        raise InvalidParameterError(
+            f"seed_vertex {seed_vertex} outside [0, {n})"
+        )
+    adjp = graph.adjp.tolist()
+    adjncy = graph.adjncy.tolist()
+    adjwgt = graph.adjwgt.tolist()
+    vwgt = graph.vwgt.tolist()
+    inside = [False] * n
+    gain: list[int | None] = [None] * n  # None: not in the frontier
+    heap: list[tuple[int, int]] = []
+    frontier = 0
+    restart = None  # built at the first restart: ids by (weight, id)
 
     weight = 0
     v = seed_vertex
     while weight < target_weight:
-        absorb(v)
-        weight += int(graph.vwgt[v])
+        inside[v] = True
+        if gain[v] is not None:
+            gain[v] = None
+            frontier -= 1
+        for i in range(adjp[v], adjp[v + 1]):
+            u = adjncy[i]
+            if inside[u]:
+                continue
+            g = gain[u]
+            if g is None:
+                # First sighting: gain = w(u->region) - w(u->rest).
+                to_in = total = 0
+                for j in range(adjp[u], adjp[u + 1]):
+                    total += adjwgt[j]
+                    if inside[adjncy[j]]:
+                        to_in += adjwgt[j]
+                g = 2 * to_in - total
+                frontier += 1
+            else:
+                g += 2 * adjwgt[i]
+            gain[u] = g
+            heapq.heappush(heap, (-g, u))
+        weight += vwgt[v]
         if weight >= target_weight:
             break
-        if not in_frontier.any():
-            outside = np.where(~inside)[0]
-            if outside.size == 0:
-                break
-            v = int(outside[np.argmin(graph.vwgt[outside])])
+        if frontier:
+            neg, v = heapq.heappop(heap)
+            while gain[v] != -neg:
+                neg, v = heapq.heappop(heap)
             continue
-        v = int(np.argmax(np.where(in_frontier, gain, -np.inf)))
-    return inside.astype(np.int64)
+        if restart is None:
+            restart = iter(np.argsort(graph.vwgt, kind="stable").tolist())
+        # A vertex once inside stays inside, so the ids this iterator
+        # has passed never need revisiting: one sweep serves every restart.
+        v = next((u for u in restart if not inside[u]), -1)
+        if v < 0:
+            break
+    return np.array(inside, dtype=np.int64)
 
 
 def gggp_bisect(

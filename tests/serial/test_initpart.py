@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.exceptions import PartitioningError
+from repro.exceptions import InvalidParameterError, PartitioningError
 from repro.graphs import edge_cut, from_edges, imbalance
 from repro.graphs.generators import complete_graph, grid2d, path_graph, star_graph
 from repro.serial.bisection import recursive_bisection
@@ -27,6 +27,14 @@ class TestGrowRegion:
         g = from_edges(6, [(0, 1), (2, 3), (4, 5)])
         part = grow_region(g, 0, 4)
         assert int((part == 1).sum()) >= 4
+
+    def test_negative_seed_vertex_rejected(self):
+        with pytest.raises(InvalidParameterError, match="seed_vertex"):
+            grow_region(path_graph(6), -1, 3)
+
+    def test_seed_vertex_past_last_rejected(self):
+        with pytest.raises(InvalidParameterError, match="seed_vertex"):
+            grow_region(path_graph(6), 6, 3)
 
 
 class TestGggp:
@@ -102,6 +110,21 @@ class TestFm:
         snapshot = part.copy()
         fm_refine_bisection(medium_graph, part, (1, 1))
         assert np.array_equal(part, snapshot)
+
+    def test_part_of_wrong_length_rejected(self):
+        with pytest.raises(InvalidParameterError, match="part has shape"):
+            fm_refine_bisection(path_graph(6), np.array([0, 0, 1, 1, 1]), (3, 3))
+
+    @pytest.mark.parametrize("label", [-1, 2])
+    def test_label_outside_bisection_rejected(self, label):
+        part = np.array([0, 0, 0, 1, 1, label])
+        with pytest.raises(InvalidParameterError, match="0 or 1"):
+            fm_refine_bisection(path_graph(6), part, (3, 3))
+
+    def test_pinned_of_wrong_length_rejected(self):
+        part = np.array([0, 0, 0, 1, 1, 1])
+        with pytest.raises(InvalidParameterError, match="pinned has shape"):
+            fm_refine_bisection(path_graph(6), part, (3, 3), pinned=np.zeros(5, bool))
 
 
 class TestRecursiveBisection:
