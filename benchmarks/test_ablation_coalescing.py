@@ -28,8 +28,10 @@ def graphs_by_order():
 
 
 def _match_kernel_stats(result):
+    # The default (async-streams) schedule launches matching and conflict
+    # resolution as one fused kernel.
     stats = result.extras["device_stats"]
-    k = stats.kernels.get("coarsen.match")
+    k = stats.kernels.get("coarsen.match_resolve")
     assert k is not None
     return k
 

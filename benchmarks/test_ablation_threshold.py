@@ -46,7 +46,10 @@ def test_threshold_policy_consistency():
     opts = GPMetisOptions(gpu_threshold_min=5000)
     # The switch size never drops below the initial-partitioning target.
     assert gpu_stop_size(opts, k=64) >= opts.coarsen_target(64)
-    assert gpu_stop_size(opts, k=1024) == opts.coarsen_target(1024)
+    # A GPU threshold below the target is raised to the target.
+    low = GPMetisOptions(gpu_threshold_min=1000, gpu_threshold_factor=1)
+    assert low.gpu_threshold(1024) < low.coarsen_target(1024)
+    assert gpu_stop_size(low, k=1024) == low.coarsen_target(1024)
 
 
 def test_breakeven_estimate_is_finite_and_positive():

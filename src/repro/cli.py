@@ -2,16 +2,19 @@
 
 Commands mirror the classic ``gpmetis`` binary plus this repo's extras:
 
-* ``partition`` — partition a graph file (Metis/.gr/.npz) into k parts,
-  write a Metis ``.part`` file, print quality and modeled time;
+* ``partition`` — the one command that runs an engine on a graph file
+  (Metis/.gr/.npz): print quality and modeled time, optionally write a
+  Metis ``.part`` file; its flags choose what else it reports — the
+  ASCII span tree (``--tree [DEPTH]``), Chrome trace-event JSON
+  (``--trace-out``, open in Perfetto), flat metrics JSON
+  (``--metrics-out``), a JSONL run-ledger record (``--ledger``), a fault
+  plan to run under (``--fault-plan FILE|full`` or ``--fault-seed N``,
+  see :mod:`repro.faults`) with its fault/recovery timeline, and the
+  race sanitizer's report (``--sanitize``);
 * ``generate`` — build a synthetic graph (Table I analogues or any
   generator family) and write it to a file;
 * ``bench`` — run the paper's evaluation grid and print the tables;
 * ``info`` — print a graph file's statistics;
-* ``profile`` — partition under the span profiler and export the run as
-  Chrome trace-event JSON (``--trace-out``, open in Perfetto) and/or a
-  flat metrics JSON (``--metrics-out``), printing the ASCII span tree;
-  ``--ledger runs.jsonl`` appends the run to a JSONL run ledger;
 * ``compare`` — diff two ledger runs (or cohorts) with exact per-phase
   delta attribution down the span tree;
 * ``report`` — render a ledger as a self-contained HTML report (engine
@@ -33,12 +36,10 @@ Commands mirror the classic ``gpmetis`` binary plus this repo's extras:
   throughput, latency percentiles and cache statistics; ``--verify``
   adds differential verification and ``--json`` a machine-readable
   report;
-* ``roofline`` — hardware-utilization report for one run (fresh or from
-  a ledger record): ASCII roofline chart, per-kernel bound-ness table,
-  and CPU/PCIe/MPI utilization against the machine model's peaks;
-* ``faults`` — deterministic fault injection (see :mod:`repro.faults`):
-  run an engine under a fault plan and print the fault/recovery
-  timeline, or emit plan files;
+* ``roofline`` — hardware-utilization report for one ledger record
+  (``partition --ledger`` writes them): ASCII roofline chart, per-kernel
+  bound-ness table, and CPU/PCIe/MPI utilization against the machine
+  model's peaks;
 * ``selfcheck`` — the one self-check of the design (see
   :mod:`repro.selfcheck`): the gate workload's records, exports,
   roofline and async-streams identity, the verified service load, the
@@ -66,7 +67,7 @@ from .bench import (
     render_table3,
     run_experiment,
 )
-from .exceptions import ReproError
+from .exceptions import InvalidParameterError, ReproError
 from .graphs import (
     PAPER_DATASETS,
     evaluate_partition,
@@ -109,13 +110,41 @@ def build_parser() -> argparse.ArgumentParser:
              "and print the per-launch race report",
     )
     pp.add_argument(
-        "--fault-plan", metavar="FILE",
-        help="inject faults from this plan JSON (repro.faults.plan/1) and "
-             "print the fault/recovery timeline",
+        "--fault-plan", metavar="FILE|full",
+        help="inject faults from this plan JSON (repro.faults.plan/1), or "
+             "'full': the exhaustive storm over every injection site; "
+             "prints the fault/recovery timeline",
     )
     pp.add_argument(
         "--fault-seed", type=int, default=None, metavar="N",
         help="inject faults from a plan derived deterministically from N",
+    )
+    pp.add_argument(
+        "--no-recover", action="store_true",
+        help="disable recovery: injected faults crash the run (exit 1) "
+             "instead of being retried or degraded around",
+    )
+    pp.add_argument(
+        "--emit-plan", metavar="FILE",
+        help="write the selected fault plan JSON here before the run "
+             "(edit it and replay with --fault-plan)",
+    )
+    pp.add_argument(
+        "--tree", type=int, nargs="?", const=0, default=None, metavar="DEPTH",
+        help="print the ASCII span tree, limited to DEPTH levels "
+             "(omitted or 0: every level)",
+    )
+    pp.add_argument(
+        "--trace-out", metavar="FILE",
+        help="write Chrome trace-event JSON here (open at ui.perfetto.dev)",
+    )
+    pp.add_argument(
+        "--metrics-out", metavar="FILE", help="write the flat metrics JSON here"
+    )
+    pp.add_argument(
+        "--ledger", metavar="FILE",
+        help="append this run to a JSONL run ledger (one record per run: "
+             "config fingerprint, span rollup, metrics snapshot, hw block)",
     )
     pp.add_argument("-o", "--output", help="write a Metis .part file here")
 
@@ -147,13 +176,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     pb.add_argument("-o", "--output", help="write a markdown report here")
     pb.add_argument(
-        "--json", metavar="FILE", default="BENCH_results.json",
-        help="write machine-readable per-engine/per-graph results here "
-             "(default: BENCH_results.json)",
-    )
-    pb.add_argument(
-        "--no-json", action="store_true",
-        help="skip writing the machine-readable results file",
+        "--json", metavar="FILE",
+        help="also write machine-readable per-engine/per-graph results here",
     )
 
     psrv = sub.add_parser(
@@ -191,34 +215,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     pi = sub.add_parser("info", help="print a graph file's statistics")
     pi.add_argument("graph")
-
-    pf = sub.add_parser(
-        "profile",
-        help="partition under the span profiler and export trace/metrics",
-    )
-    pf.add_argument("graph", help="input .graph/.metis/.gr/.npz file")
-    pf.add_argument("-k", type=int, default=64, help="number of partitions")
-    pf.add_argument(
-        "--method", default="gp-metis", choices=api.available_methods(),
-    )
-    pf.add_argument("--ubfactor", type=float, default=1.03)
-    pf.add_argument("--seed", type=int, default=1)
-    pf.add_argument(
-        "--trace-out", metavar="FILE",
-        help="write Chrome trace-event JSON here (open at ui.perfetto.dev)",
-    )
-    pf.add_argument(
-        "--metrics-out", metavar="FILE", help="write the flat metrics JSON here"
-    )
-    pf.add_argument(
-        "--depth", type=int, default=None,
-        help="limit the printed ASCII tree to this many levels",
-    )
-    pf.add_argument(
-        "--ledger", metavar="FILE",
-        help="append this run to a JSONL run ledger (one record per run: "
-             "config fingerprint, span rollup, metrics snapshot)",
-    )
 
     pc = sub.add_parser(
         "compare",
@@ -323,27 +319,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     prf = sub.add_parser(
         "roofline",
-        help="hardware-utilization report: per-kernel roofline and "
-             "bound-ness, plus CPU/PCIe/MPI utilization vs machine peaks",
+        help="hardware-utilization report of a ledger record: per-kernel "
+             "roofline and bound-ness, plus CPU/PCIe/MPI utilization vs "
+             "machine peaks",
     )
     prf.add_argument(
-        "graph", nargs="?",
-        help="input graph file (default: a built-in delaunay mesh of -n "
-             "vertices)",
-    )
-    prf.add_argument("-k", type=int, default=8, help="number of partitions")
-    prf.add_argument(
-        "--method", default="gp-metis", choices=api.available_methods(),
-    )
-    prf.add_argument("-n", type=int, default=20000,
-                     help="vertices of the built-in graph (default 20000, "
-                          "large enough that the hybrid keeps levels on "
-                          "the GPU)")
-    prf.add_argument("--seed", type=int, default=1)
-    prf.add_argument(
-        "--ledger", metavar="FILE[:INDEX]",
-        help="render a recorded run's hw block instead of running fresh "
-             "(default index -1, the newest record)",
+        "--ledger", metavar="FILE[:INDEX]", required=True,
+        help="render this recorded run's hw block (written by `partition "
+             "--ledger`; default index -1, the newest record)",
     )
     prf.add_argument(
         "--json", metavar="FILE", dest="json_out",
@@ -351,48 +334,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     prf.add_argument("--no-chart", action="store_true",
                      help="skip the ASCII roofline chart")
-
-    pfa = sub.add_parser(
-        "faults", help="run an engine under a deterministic fault plan",
-    )
-    pfa.add_argument(
-        "graph", nargs="?",
-        help="input graph file (default: a built-in delaunay mesh of -n vertices)",
-    )
-    pfa.add_argument("-k", type=int, default=8, help="number of partitions")
-    pfa.add_argument(
-        "--method", default="gp-metis", choices=api.available_methods(),
-    )
-    pfa.add_argument("-n", type=int, default=9000,
-                     help="vertices of the built-in graph")
-    pfa.add_argument("--seed", type=int, default=1, help="engine RNG seed")
-    pfa.add_argument(
-        "--plan", metavar="FILE",
-        help="fault plan JSON (schema repro.faults.plan/1); default is the "
-             "exhaustive built-in plan covering every injection site",
-    )
-    pfa.add_argument(
-        "--fault-seed", type=int, default=None, metavar="N",
-        help="derive a random plan deterministically from N instead of --plan",
-    )
-    pfa.add_argument(
-        "--intensity", type=float, default=0.5,
-        help="fault density of --fault-seed plans, 0..1 (default 0.5)",
-    )
-    pfa.add_argument(
-        "--no-recover", action="store_true",
-        help="disable recovery: injected faults crash the run instead of "
-             "being retried or degraded around",
-    )
-    pfa.add_argument(
-        "--emit-plan", metavar="FILE",
-        help="write the selected plan JSON here and exit (edit + replay "
-             "with --plan)",
-    )
-    pfa.add_argument(
-        "--ledger", metavar="FILE",
-        help="append the faulted run to this JSONL run ledger",
-    )
 
     sub.add_parser(
         "selfcheck",
@@ -483,27 +424,28 @@ def _cmd_serve(args) -> int:
     return 1 if failed else 0
 
 
-def _select_fault_plan(args):
-    """The fault plan chosen by ``--plan`` / ``--fault-seed`` (or default).
+def _fault_plan(args):
+    """The plan chosen by ``--fault-plan FILE|full`` or ``--fault-seed N``.
 
-    Returns ``(plan, error_exit_code)``; exactly one of the two is set.
+    ``None`` when neither is given; a conflicting or unreadable choice
+    raises :class:`InvalidParameterError` (exit 2 via :func:`main`).
     """
     from .faults import FaultPlan, load_plan
 
-    if getattr(args, "plan", None) and args.fault_seed is not None:
-        print("error: --plan and --fault-seed are mutually exclusive",
-              file=sys.stderr)
-        return None, 2
-    if getattr(args, "plan", None):
-        try:
-            return load_plan(args.plan), None
-        except (OSError, ValueError) as exc:
-            print(f"error: bad fault plan: {exc}", file=sys.stderr)
-            return None, 2
+    if args.fault_plan and args.fault_seed is not None:
+        raise InvalidParameterError(
+            "--fault-plan and --fault-seed are mutually exclusive"
+        )
     if args.fault_seed is not None:
-        intensity = getattr(args, "intensity", 0.5)
-        return FaultPlan.from_seed(args.fault_seed, intensity=intensity), None
-    return FaultPlan.full(args.seed), None
+        return FaultPlan.from_seed(args.fault_seed)
+    if args.fault_plan == "full":
+        return FaultPlan.full(args.seed)
+    if args.fault_plan:
+        try:
+            return load_plan(args.fault_plan)
+        except (OSError, ValueError) as exc:
+            raise InvalidParameterError(f"bad fault plan: {exc}") from None
+    return None
 
 
 def _render_fault_summary(result) -> None:
@@ -520,54 +462,6 @@ def _render_fault_summary(result) -> None:
 
 
 def _cmd_partition(args) -> int:
-    graph = read_graph(args.graph)
-    print(f"input: {graph}")
-    opts = {}
-    if args.sanitize:
-        if args.method not in ("gp-metis", "gpmetis", "gp_metis"):
-            print("--sanitize requires --method gp-metis", file=sys.stderr)
-            return 2
-        opts["sanitize"] = True
-    if args.fault_plan or args.fault_seed is not None:
-        from .faults import FaultPlan, load_plan
-
-        if args.fault_plan and args.fault_seed is not None:
-            print("error: --fault-plan and --fault-seed are mutually "
-                  "exclusive", file=sys.stderr)
-            return 2
-        try:
-            if args.fault_plan:
-                opts["fault_plan"] = load_plan(args.fault_plan)
-            else:
-                opts["fault_plan"] = FaultPlan.from_seed(args.fault_seed)
-        except (OSError, ValueError) as exc:
-            print(f"error: bad fault plan: {exc}", file=sys.stderr)
-            return 2
-    t0 = time.perf_counter()
-    result = api.partition(
-        graph, args.k, method=args.method, ubfactor=args.ubfactor,
-        seed=args.seed, **opts,
-    )
-    wall = time.perf_counter() - t0
-    q = evaluate_partition(graph, result.part, args.k)
-    print(f"method={args.method} k={args.k}")
-    print(f"edge cut      : {q.cut}")
-    print(f"imbalance     : {q.imbalance:.4f} (tolerance {args.ubfactor})")
-    print(f"comm volume   : {q.comm_volume}")
-    print(f"modeled time  : {result.modeled_seconds:.6f} s (simulated testbed)")
-    print(f"wall time     : {wall:.3f} s (this Python process)")
-    if "fault_plan" in opts:
-        _render_fault_summary(result)
-    san = result.extras.get("sanitizer") if args.sanitize else None
-    if san is not None:
-        print(san.render())
-    if args.output:
-        write_partition(result.part, args.output)
-        print(f"wrote {args.output}")
-    return 1 if san is not None and not san.race_free else 0
-
-
-def _cmd_profile(args) -> int:
     from .obs import (
         render_tree,
         validate_chrome_trace,
@@ -577,25 +471,64 @@ def _cmd_profile(args) -> int:
     )
     from .obs import ledger as ledger_mod
 
+    opts = {}
+    if args.sanitize:
+        if args.method not in ("gp-metis", "gpmetis", "gp_metis"):
+            print("--sanitize requires --method gp-metis", file=sys.stderr)
+            return 2
+        opts["sanitize"] = True
+    plan = _fault_plan(args)
+    if args.emit_plan:
+        if plan is None:
+            raise InvalidParameterError(
+                "--emit-plan needs --fault-plan or --fault-seed"
+            )
+        plan.dump(args.emit_plan)
+        print(f"wrote {args.emit_plan} ({len(plan.specs)} spec(s), "
+              f"seed {plan.seed})")
+    if plan is not None:
+        opts["fault_plan"] = plan
+    if args.no_recover:
+        opts["fault_recovery"] = False
     graph = read_graph(args.graph)
     print(f"input: {graph}")
+    if plan is not None:
+        print(plan.describe())
     if args.ledger:
         # Route through the finish_run hook, so the engine itself writes
         # the record — the same path any library caller gets.
         ledger_mod.set_default_ledger(args.ledger)
+    t0 = time.perf_counter()
     try:
         result = api.partition(
             graph, args.k, method=args.method, ubfactor=args.ubfactor,
-            seed=args.seed,
+            seed=args.seed, **opts,
         )
+    except ReproError as exc:
+        if not getattr(exc, "injected", False):
+            raise
+        print(f"run failed on an injected fault: "
+              f"{type(exc).__name__}: {exc}", file=sys.stderr)
+        return 1
     finally:
         if args.ledger:
             ledger_mod.set_default_ledger(None)
+    wall = time.perf_counter() - t0
+    q = evaluate_partition(graph, result.part, args.k)
+    print(f"method={args.method} k={args.k}")
+    print(f"edge cut      : {q.cut}")
+    print(f"imbalance     : {q.imbalance:.4f} (tolerance {args.ubfactor})")
+    print(f"comm volume   : {q.comm_volume}")
+    print(f"modeled time  : {result.modeled_seconds:.6f} s (simulated testbed)")
+    print(f"wall time     : {wall:.3f} s (this Python process)")
+    if plan is not None:
+        _render_fault_summary(result)
+    san = result.extras.get("sanitizer") if args.sanitize else None
+    if san is not None:
+        print(san.render())
     profiler = result.profiler
-    if profiler is None:
-        print(f"method {args.method!r} does not attach a profiler", file=sys.stderr)
-        return 2
-    print(render_tree(profiler, max_depth=args.depth))
+    if args.tree is not None:
+        print(render_tree(profiler, max_depth=args.tree or None))
     if args.ledger:
         last = ledger_mod.read_ledger(args.ledger)[-1]
         print(f"appended run {last['run_id']} to {args.ledger}")
@@ -605,7 +538,22 @@ def _cmd_profile(args) -> int:
     if args.metrics_out:
         validate_metrics(write_metrics_json(profiler, args.metrics_out))
         print(f"wrote {args.metrics_out}")
-    return 0
+    if args.output:
+        write_partition(result.part, args.output)
+        print(f"wrote {args.output}")
+    return 1 if san is not None and not san.race_free else 0
+
+
+def _split_operand(operand: str) -> tuple[str, str | None]:
+    """``PATH[:INDEX]`` -> ``(PATH, INDEX or None)``, split at the last colon.
+
+    The tail is a selector only when it is an integer or ``*``; any other
+    colon belongs to the path (``runs:old/l.jsonl`` is one file).
+    """
+    path, _, selector = operand.rpartition(":")
+    if path and (selector == "*" or _is_int(selector)):
+        return path, selector
+    return operand, None
 
 
 def _resolve_runs(operand: str, default_ledger: str | None):
@@ -616,15 +564,13 @@ def _resolve_runs(operand: str, default_ledger: str | None):
     """
     from .obs import read_ledger
 
-    path, _, selector = operand.rpartition(":")
-    if not path:
-        # No ':' in the operand: a bare path, or (with --ledger) a selector.
+    path, selector = _split_operand(operand)
+    if selector is None:
+        # A bare path, or (with --ledger) a bare selector.
         if default_ledger and (operand == "*" or _is_int(operand)):
             path, selector = default_ledger, operand
         else:
-            path, selector = operand, "-1"
-    elif not selector or not (selector == "*" or _is_int(selector)):
-        path, selector = operand, "-1"
+            selector = "-1"
     records = read_ledger(path)
     if not records:
         raise ValueError(f"{path}: ledger is empty")
@@ -906,7 +852,7 @@ def _cmd_bench(args) -> int:
 
         write_report(results, args.output)
         print(f"wrote {args.output}")
-    if args.json and not args.no_json:
+    if args.json:
         from .bench import write_results_json
 
         write_results_json(results, args.json)
@@ -954,102 +900,42 @@ def _cmd_analyze(args) -> int:
     return 0
 
 
-def _cmd_faults(args) -> int:
-    from .obs import ledger as ledger_mod
-
-    plan, err = _select_fault_plan(args)
-    if err is not None:
-        return err
-    if args.emit_plan:
-        plan.dump(args.emit_plan)
-        print(f"wrote {args.emit_plan} ({len(plan.specs)} spec(s), "
-              f"seed {plan.seed})")
-        return 0
-
-    graph = read_graph(args.graph) if args.graph else gen.delaunay(
-        args.n, seed=args.seed
-    )
-    print(f"input: {graph}")
-    print(plan.describe())
-    if args.ledger:
-        ledger_mod.set_default_ledger(args.ledger)
-    try:
-        result = api.partition(
-            graph, args.k, method=args.method, seed=args.seed,
-            fault_plan=plan, fault_recovery=not args.no_recover,
-        )
-    except ReproError as exc:
-        if getattr(exc, "injected", False):
-            print(f"run failed on an injected fault: "
-                  f"{type(exc).__name__}: {exc}", file=sys.stderr)
-            return 1
-        raise
-    finally:
-        if args.ledger:
-            ledger_mod.set_default_ledger(None)
-    q = evaluate_partition(graph, result.part, args.k)
-    print(f"method={args.method} k={args.k}")
-    print(f"edge cut        : {q.cut}")
-    print(f"imbalance       : {q.imbalance:.4f}")
-    print(f"modeled time    : {result.modeled_seconds:.6f} s")
-    _render_fault_summary(result)
-    if args.ledger:
-        last = ledger_mod.read_ledger(args.ledger)[-1]
-        print(f"appended run {last['run_id']} to {args.ledger}")
-    return 0
-
-
 def _cmd_roofline(args) -> int:
     import json as json_mod
 
-    from .obs import ledger as ledger_mod
+    from .obs import read_ledger
     from .obs.hw import (
         render_kernel_table,
         render_roofline_chart,
         validate_hw_section,
     )
 
-    if args.ledger:
-        path, _, idx = args.ledger.partition(":")
-        if idx and not _is_int(idx):
-            print(f"error: {args.ledger}: index {idx!r} is not an integer",
-                  file=sys.stderr)
-            return 2
-        try:
-            records = ledger_mod.read_ledger(path)
-        except (OSError, ValueError) as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-        try:
-            record = records[int(idx) if idx else -1]
-        except IndexError:
-            print(f"{path}: no record at index {idx or -1} "
-                  f"({len(records)} record(s))", file=sys.stderr)
-            return 1
-        section = record.get("hw")
-        if section is None:
-            print(f"record {record['run_id']} carries no hw block",
-                  file=sys.stderr)
-            return 1
-        cfg = record["config"]
-        header = (f"run {record['run_id']}: {cfg['engine']} on "
-                  f"{cfg['graph']} k={cfg['k']}")
-    else:
-        graph = read_graph(args.graph) if args.graph else gen.delaunay(
-            args.n, seed=args.seed
-        )
-        result = api.partition(graph, args.k, method=args.method,
-                               seed=args.seed)
-        section = getattr(result.profiler, "hw", None)
-        if section is None:
-            print("engine produced no hw section", file=sys.stderr)
-            return 1
-        header = (f"{args.method} on {graph.name} k={args.k} "
-                  f"({result.modeled_seconds:.6f} modeled s)")
+    path, idx = _split_operand(args.ledger)
+    if idx == "*":
+        print(f"error: {args.ledger}: index '*' is not an integer",
+              file=sys.stderr)
+        return 2
+    try:
+        records = read_ledger(path)
+    except (OSError, ValueError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    try:
+        record = records[int(idx or -1)]
+    except IndexError:
+        print(f"{path}: no record at index {idx or -1} "
+              f"({len(records)} record(s))", file=sys.stderr)
+        return 1
+    section = record.get("hw")
+    if section is None:
+        print(f"record {record['run_id']} carries no hw block",
+              file=sys.stderr)
+        return 1
     validate_hw_section(section)
 
-    mach = section["machine"]
-    print(header)
+    cfg, mach = record["config"], section["machine"]
+    print(f"run {record['run_id']}: {cfg['engine']} on {cfg['graph']} "
+          f"k={cfg['k']}")
     print(f"machine: cpu={mach['cpu']}  gpu={mach['gpu']}")
     print()
     gpu = section.get("gpu")
@@ -1124,14 +1010,12 @@ def main(argv=None) -> int:
         "generate": _cmd_generate,
         "bench": _cmd_bench,
         "info": _cmd_info,
-        "profile": _cmd_profile,
         "compare": _cmd_compare,
         "report": _cmd_report,
         "trace": _cmd_trace,
         "slo": _cmd_slo,
         "gate": _cmd_gate,
         "analyze": _cmd_analyze,
-        "faults": _cmd_faults,
         "roofline": _cmd_roofline,
         "serve": _cmd_serve,
         "selfcheck": _cmd_selfcheck,

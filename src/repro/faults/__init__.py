@@ -15,9 +15,10 @@ Entry points:
 
 * options: every engine takes ``fault_plan=...`` (a plan, dict, or JSON
   path) and ``fault_recovery=True/False``;
-* CLI: ``python -m repro faults`` (run under a plan, print the fault and
-  recovery log); ``python -m repro selfcheck`` runs the exhaustive plan
-  with recovery on and off;
+* CLI: ``python -m repro partition --fault-plan FILE|full`` or
+  ``--fault-seed N`` (run under a plan, print the fault and recovery
+  log); ``python -m repro selfcheck`` runs the exhaustive plan with
+  recovery on and off;
 * docs: ``docs/FAULTS.md`` documents the sites, the plan schema and each
   engine's degradation ladder.
 """

@@ -10,7 +10,7 @@ fault schedule is as reproducible as the partition itself.
 
 Plans come from three places:
 
-* hand-written JSON (``python -m repro faults --plan plan.json``);
+* hand-written JSON (``python -m repro partition G --fault-plan plan.json``);
 * a seed (:func:`FaultPlan.from_seed`, ``--fault-seed N``): a small
   random plan drawn deterministically over all sites;
 * :func:`FaultPlan.full`: one spec per site/kind — the worst-case

@@ -1,10 +1,17 @@
 """Unit tests for the command-line interface."""
 
-import numpy as np
+import argparse
+import json
+import shlex
+import shutil
+from pathlib import Path
+
 import pytest
 
 from repro.cli import build_parser, main
 from repro.graphs import generators, read_partition, write_metis
+
+REPO = Path(__file__).resolve().parents[1]
 
 
 @pytest.fixture
@@ -23,7 +30,6 @@ class TestParser:
             ["generate", "--family", "delaunay", "-o", "x.graph"],
             ["bench"],
             ["info", "x.graph"],
-            ["profile", "x.graph"],
             ["compare", "a.jsonl:0", "a.jsonl:1"],
             ["report", "--ledger", "a.jsonl"],
             ["gate", "--baseline", "a.jsonl"],
@@ -32,6 +38,39 @@ class TestParser:
         ):
             args = parser.parse_args(argv)
             assert args.command == argv[0]
+
+    def test_help_lists_thirteen_commands(self):
+        usage = build_parser().format_usage()
+        listed = usage[usage.index("{") + 1:usage.index("}")].split(",")
+        assert len(listed) == 13
+        assert "profile" not in listed and "faults" not in listed
+
+    def test_option_count(self):
+        """At most 57 options over all commands; ``roofline`` only reads a
+        ledger record."""
+        sub = next(a for a in build_parser()._actions
+                   if isinstance(a, argparse._SubParsersAction))
+
+        def options(cmd):
+            return [a.option_strings[-1] for a in sub.choices[cmd]._actions
+                    if a.option_strings
+                    and not isinstance(a, argparse._HelpAction)]
+
+        assert sum(len(options(cmd)) for cmd in sub.choices) <= 57
+        assert options("roofline") == ["--ledger", "--json", "--no-chart"]
+
+    @pytest.mark.parametrize("argv", [
+        ["profile", "x.graph"],
+        ["faults", "x.graph"],
+        ["roofline", "x.graph"],
+        ["roofline"],
+        ["roofline", "--ledger", "a.jsonl", "-k", "8"],
+        ["partition", "x.graph", "--intensity", "0.5"],
+        ["bench", "--no-json"],
+    ])
+    def test_removed_surface_rejected(self, argv):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(argv)
 
     def test_missing_command_errors(self):
         with pytest.raises(SystemExit):
@@ -89,14 +128,16 @@ class TestGenerateCommand:
 
 
 class TestProfileCommand:
-    def test_exports_and_validates(self, graph_file, tmp_path, capsys):
-        import json
+    """The span-profiler reports, flags of ``partition`` (there is no
+    separate ``profile`` command)."""
 
+    def test_exports_and_validates(self, graph_file, tmp_path, capsys):
         trace_out = tmp_path / "run.json"
         metrics_out = tmp_path / "metrics.json"
         rc = main([
-            "profile", str(graph_file), "-k", "8", "--method", "mt-metis",
-            "--trace-out", str(trace_out), "--metrics-out", str(metrics_out),
+            "partition", str(graph_file), "-k", "8", "--method", "mt-metis",
+            "--tree", "--trace-out", str(trace_out),
+            "--metrics-out", str(metrics_out),
         ])
         assert rc == 0
         text = capsys.readouterr().out
@@ -109,31 +150,41 @@ class TestProfileCommand:
         assert metrics_doc["run"]["k"] == 8
 
     def test_tree_only_without_outputs(self, graph_file, capsys):
-        rc = main(["profile", str(graph_file), "-k", "4", "--method", "mt-metis"])
+        rc = main(["partition", str(graph_file), "-k", "4",
+                   "--method", "mt-metis", "--tree"])
         assert rc == 0
         text = capsys.readouterr().out
         assert "coarsening" in text and "uncoarsening" in text
+        assert "level 0" in text
         assert "wrote" not in text
 
     def test_depth_limits_tree(self, graph_file, capsys):
         rc = main([
-            "profile", str(graph_file), "-k", "4", "--method", "mt-metis",
-            "--depth", "1",
+            "partition", str(graph_file), "-k", "4", "--method", "mt-metis",
+            "--tree", "1",
         ])
         assert rc == 0
-        assert "level 0" not in capsys.readouterr().out
+        text = capsys.readouterr().out
+        assert "run: mt-metis" in text
+        assert "level 0" not in text
+
+    def test_no_tree_by_default(self, graph_file, capsys):
+        assert main(["partition", str(graph_file), "-k", "4",
+                     "--method", "mt-metis"]) == 0
+        assert "run: mt-metis" not in capsys.readouterr().out
 
 
 class TestLedgerWorkflow:
-    """The acceptance flow: profile twice into a ledger, compare, report."""
+    """The acceptance flow: partition twice into a ledger, compare, report."""
 
     @pytest.fixture
     def ledger(self, graph_file, tmp_path):
         path = tmp_path / "runs.jsonl"
         for seed in (1, 2):
             rc = main([
-                "profile", str(graph_file), "-k", "4", "--method", "gp-metis",
-                "--seed", str(seed), "--ledger", str(path),
+                "partition", str(graph_file), "-k", "4",
+                "--method", "gp-metis", "--seed", str(seed),
+                "--ledger", str(path),
             ])
             assert rc == 0
         return path
@@ -145,7 +196,7 @@ class TestLedgerWorkflow:
         assert len(records) == 2
         assert {r["config"]["seed"] for r in records} == {1, 2}
         rc = main([
-            "profile", str(graph_file), "-k", "4", "--method", "gp-metis",
+            "partition", str(graph_file), "-k", "4", "--method", "gp-metis",
             "--seed", "3", "--ledger", str(ledger),
         ])
         assert rc == 0
@@ -199,8 +250,6 @@ class TestLedgerWorkflow:
         assert "phase" in text.lower()
 
     def test_roofline_json_output(self, ledger, tmp_path, capsys):
-        import json
-
         out = tmp_path / "hw.json"
         rc = main([
             "roofline", "--ledger", f"{ledger}:0", "--json", str(out),
@@ -214,11 +263,28 @@ class TestLedgerWorkflow:
         rc = main(["roofline", "--ledger", f"{ledger}:99"])
         assert rc == 1
 
+    def test_colon_in_directory(self, tmp_path, capsys):
+        """``FILE[:INDEX]`` splits at the last colon, for ``roofline`` as
+        for ``compare``: a colon in a directory name belongs to the path."""
+        from repro.obs import read_ledger
+
+        moved = tmp_path / "colon:dir" / "runs.jsonl"
+        moved.parent.mkdir()
+        shutil.copy(REPO / "benchmarks" / "BENCH_ledger.jsonl", moved)
+        first = read_ledger(moved)[0]["run_id"]
+        assert main(["roofline", "--ledger", str(moved), "--no-chart"]) == 0
+        assert main(["roofline", "--ledger", f"{moved}:0", "--no-chart"]) == 0
+        assert f"run {first}:" in capsys.readouterr().out
+        assert main(["compare", f"{moved}:0", f"{moved}:1"]) == 0
+        capsys.readouterr()
+        assert main(["roofline", "--ledger", f"{moved}:99"]) == 1
+        assert capsys.readouterr().err.startswith(f"{moved}: no record")
+        assert main(["roofline", "--ledger", f"{moved}:*"]) == 2
+        assert "is not an integer" in capsys.readouterr().err
+
 
 class TestBenchJson:
     def test_results_json_written(self, tmp_path, capsys, monkeypatch):
-        import json
-
         monkeypatch.chdir(tmp_path)
         rc = main([
             "bench", "--scale", "0.0003", "--datasets", "delaunay",
@@ -235,19 +301,18 @@ class TestBenchJson:
             assert run["cut"] >= 0
 
     def test_no_json_flag(self, tmp_path, monkeypatch):
+        """No ``--json``, no file: bench writes results only when asked."""
         monkeypatch.chdir(tmp_path)
         rc = main([
             "bench", "--scale", "0.0003", "--datasets", "delaunay",
-            "--methods", "metis", "-k", "4", "--no-json",
+            "--methods", "metis", "-k", "4",
         ])
         assert rc == 0
-        assert not (tmp_path / "BENCH_results.json").exists()
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestServeCommand:
     def test_verified_load_feeds_slo_and_trace(self, tmp_path, capsys):
-        import json
-
         from repro.obs.schema import validate_chrome_trace
 
         report = tmp_path / "serve.json"
@@ -276,3 +341,46 @@ class TestInfoCommand:
         text = capsys.readouterr().out
         assert "vertices        : 400" in text
         assert "components" in text
+
+
+def _documented_runs(doc: str) -> list[list[str]]:
+    """The ``partition``/``generate``/``roofline`` argv lists of ``doc``'s
+    recipe blocks, in order.
+
+    A recipe block is a fenced block that makes its own input (it holds a
+    ``python -m repro generate`` line); synopsis blocks with placeholders
+    hold none.
+    """
+    runs = []
+    for block in (REPO / "docs" / doc).read_text().split("```")[1::2]:
+        argvs = [
+            shlex.split(line.split("#")[0])[3:]
+            for line in block.replace("\\\n", " ").splitlines()
+            if line.startswith("python -m repro ")
+        ]
+        if any(argv[0] == "generate" for argv in argvs):
+            runs += [a for a in argvs
+                     if a[0] in ("partition", "generate", "roofline")]
+    return runs
+
+
+class TestDocumentedCommands:
+    """The command block of docs/FAULTS.md and the record -> inspect block
+    of docs/OBSERVABILITY.md run as written, in a scratch directory: each
+    line exits 0, except a ``--no-recover`` run, which dies on an injected
+    fault with exit 1."""
+
+    @pytest.mark.parametrize("doc, commands", [
+        ("FAULTS.md", {"generate", "partition"}),
+        ("OBSERVABILITY.md", {"generate", "partition", "roofline"}),
+    ])
+    def test_block_runs_as_written(self, doc, commands, tmp_path,
+                                   monkeypatch, capsys):
+        runs = _documented_runs(doc)
+        assert commands <= {argv[0] for argv in runs}
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.delenv("REPRO_LEDGER", raising=False)
+        for argv in runs:
+            recover = "--no-recover" not in argv
+            assert main(argv) == (0 if recover else 1), argv
+            assert recover or "injected" in capsys.readouterr().err

@@ -1,11 +1,11 @@
-"""CLI tests for the ``faults`` command and input error hardening.
+"""CLI tests for fault injection and input error hardening.
 
 ``repro gate``, ``repro compare`` and ``repro roofline`` must fail with
 exit 2 and an ``error:`` line on stderr for malformed or missing ledger
 input (not a traceback), as must every command on a malformed graph
-file; the ``faults`` command's plan selection and no-recover modes must
-behave, and so must the recovery self-check (the fault group of
-``repro selfcheck``).
+file; ``partition``'s fault-plan selection (``--fault-plan FILE|full``,
+``--fault-seed``, ``--emit-plan``) and ``--no-recover`` must behave, and
+so must the recovery self-check (the fault group of ``repro selfcheck``).
 """
 
 import json
@@ -123,67 +123,101 @@ class TestGraphFileErrors:
         assert "Traceback" not in proc.stderr
 
 
+@pytest.fixture(scope="module")
+def mesh_file(tmp_path_factory):
+    """A 5000-vertex mesh: large enough that gp-metis keeps a GPU level."""
+    from repro.graphs import generators, io as gio
+
+    path = tmp_path_factory.mktemp("mesh") / "g.graph"
+    gio.write_metis(generators.delaunay(5000, seed=1), path)
+    return str(path)
+
+
+@pytest.fixture
+def grid_file(tmp_path):
+    from repro.graphs import generators, io as gio
+
+    path = tmp_path / "grid.graph"
+    gio.write_metis(generators.grid2d(10, 10), path)
+    return str(path)
+
+
 class TestFaultsCommand:
+    """Fault injection through ``partition``'s flags (there is no separate
+    ``faults`` command)."""
+
     def test_self_check_passes(self, capsys):
         assert selfcheck.run_selfcheck((selfcheck.fault_checks,)) is True
         out = capsys.readouterr().out
         assert "FAIL" not in out
         assert "PASS faults: recovery off dies on an injected fault" in out
 
-    def test_emit_plan_roundtrips(self, tmp_path, capsys):
+    def test_emit_plan_roundtrips(self, grid_file, tmp_path, capsys):
         path = tmp_path / "plan.json"
-        assert main(["faults", "--fault-seed", "5", "--emit-plan",
-                     str(path)]) == 0
+        assert main(["partition", grid_file, "-k", "2", "--fault-seed", "5",
+                     "--emit-plan", str(path)]) == 0
         plan = load_plan(path)
         assert plan == FaultPlan.from_seed(5)
         assert json.loads(path.read_text())["seed"] == 5
+        assert f"wrote {path}" in capsys.readouterr().out
+
+    def test_emit_plan_needs_a_plan(self, grid_file, tmp_path, capsys):
+        path = tmp_path / "plan.json"
+        assert main(["partition", grid_file, "-k", "2",
+                     "--emit-plan", str(path)]) == 2
+        assert capsys.readouterr().err.startswith("error:")
+        assert not path.exists()
 
     def test_plan_and_seed_mutually_exclusive(self, tmp_path, capsys):
-        path = tmp_path / "plan.json"
-        FaultPlan.from_seed(1).dump(path)
-        assert main(["faults", "--plan", str(path),
+        # Rejected before the graph file is read.
+        missing = str(tmp_path / "nope.graph")
+        assert main(["partition", missing, "--fault-plan", "full",
                      "--fault-seed", "2"]) == 2
-        assert capsys.readouterr().err.startswith("error:")
+        assert "mutually exclusive" in capsys.readouterr().err
 
-    def test_bad_plan_file_exits_2(self, tmp_path, capsys):
+    def test_bad_plan_file_exits_2(self, grid_file, tmp_path, capsys):
         path = tmp_path / "plan.json"
         path.write_text("{broken")
-        assert main(["faults", "--plan", str(path)]) == 2
+        assert main(["partition", grid_file, "--fault-plan", str(path)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: bad fault plan")
 
-    def test_run_reports_timeline_and_ledger(self, tmp_path, capsys):
+    def test_run_reports_timeline_and_ledger(self, mesh_file, tmp_path,
+                                             capsys):
         ledger = tmp_path / "runs.jsonl"
-        assert main(["faults", "-n", "5000", "--fault-seed", "1",
+        assert main(["partition", mesh_file, "-k", "8", "--fault-seed", "1",
                      "--ledger", str(ledger)]) == 0
         out = capsys.readouterr().out
+        assert "fault plan (seed=1" in out
         assert "faults injected" in out
+        assert "appended run" in out
         assert ledger.exists() and ledger.read_text().strip()
 
-    def test_no_recover_crashes_with_exit_1(self, capsys):
-        # The exhaustive default plan contains persistent transfer
-        # failures; with recovery off the run must die on the injection.
-        assert main(["faults", "-n", "5000", "--no-recover"]) == 1
+    def test_full_plan_recovers(self, mesh_file, capsys):
+        assert main(["partition", mesh_file, "-k", "8",
+                     "--fault-plan", "full"]) == 0
+        out = capsys.readouterr().out
+        specs = len(FaultPlan.full(1).specs)
+        assert f"fault plan (seed=1, {specs} spec(s))" in out
+        assert "degraded        : True" in out
+
+    def test_no_recover_crashes_with_exit_1(self, mesh_file, capsys):
+        # The exhaustive plan contains persistent transfer failures; with
+        # recovery off the run must die on the injection.
+        assert main(["partition", mesh_file, "-k", "8",
+                     "--fault-plan", "full", "--no-recover"]) == 1
         err = capsys.readouterr().err
         assert "injected" in err
 
-    def test_partition_command_accepts_fault_seed(self, tmp_path, capsys):
-        import numpy as np
-        from repro.graphs import generators, io as gio
-
-        path = tmp_path / "g.graph"
-        gio.write_metis(generators.delaunay(5000, seed=1), path)
-        assert main(["partition", str(path), "-k", "4", "--method",
+    def test_partition_command_accepts_fault_seed(self, mesh_file, capsys):
+        assert main(["partition", mesh_file, "-k", "4", "--method",
                      "gp-metis", "--fault-seed", "3"]) == 0
         assert "fault" in capsys.readouterr().out.lower()
 
-    def test_partition_fault_flags_mutually_exclusive(self, tmp_path, capsys):
-        from repro.graphs import generators, io as gio
-
+    def test_partition_fault_flags_mutually_exclusive(self, grid_file,
+                                                      tmp_path, capsys):
         plan = tmp_path / "plan.json"
         FaultPlan.from_seed(1).dump(plan)
-        path = tmp_path / "g.graph"
-        gio.write_metis(generators.grid2d(10, 10), path)
-        assert main(["partition", str(path), "-k", "2",
+        assert main(["partition", grid_file, "-k", "2",
                      "--fault-plan", str(plan), "--fault-seed", "2"]) == 2
         assert capsys.readouterr().err.startswith("error:")
