@@ -53,6 +53,7 @@ exit status 2.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 import time
 
@@ -474,8 +475,7 @@ def _cmd_partition(args) -> int:
     opts = {}
     if args.sanitize:
         if args.method not in ("gp-metis", "gpmetis", "gp_metis"):
-            print("--sanitize requires --method gp-metis", file=sys.stderr)
-            return 2
+            raise InvalidParameterError("--sanitize requires --method gp-metis")
         opts["sanitize"] = True
     plan = _fault_plan(args)
     if args.emit_plan:
@@ -911,8 +911,11 @@ def _cmd_roofline(args) -> int:
     )
 
     path, idx = _split_operand(args.ledger)
-    if idx == "*":
-        print(f"error: {args.ledger}: index '*' is not an integer",
+    head, _, tail = args.ledger.rpartition(":")
+    if idx is None and not os.path.isfile(path) and os.path.isfile(head):
+        idx = tail  # ``runs.jsonl:last``: the file exists, the index is bad
+    if idx is not None and not _is_int(idx):
+        print(f"error: {args.ledger}: index '{idx}' is not an integer",
               file=sys.stderr)
         return 2
     try:
@@ -1021,10 +1024,17 @@ def main(argv=None) -> int:
         "selfcheck": _cmd_selfcheck,
     }[args.command]
     try:
-        return handler(args)
+        code = handler(args)
+        sys.stdout.flush()
+        return code
     except ReproError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        # The reader closed stdout early (``... | head``).  Point stdout at
+        # devnull so the flush at interpreter exit cannot raise again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
 
 
 if __name__ == "__main__":  # pragma: no cover

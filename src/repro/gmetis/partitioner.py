@@ -26,6 +26,7 @@ from ..serial.bisection import recursive_bisection
 from ..serial.coarsen import CoarseningLevel
 from ..serial.contraction import contract
 from ..serial.kway import final_rebalance, kway_refine
+from ..serial.matching import check_scheme
 from ..serial.options import SerialOptions
 from ..serial.project import project_partition
 from .speculative import SpeculativeExecutor
@@ -57,6 +58,7 @@ class GmetisOptions:
             raise InvalidParameterError("num_threads must be >= 1")
         if self.ubfactor < 1.0:
             raise InvalidParameterError("ubfactor must be >= 1.0")
+        check_scheme(self.matching)
         if self.refine_passes < 1:
             raise InvalidParameterError("refine_passes must be >= 1")
 

@@ -6,6 +6,7 @@ from dataclasses import dataclass
 
 from ..exceptions import InvalidParameterError
 from ..mtmetis.options import MtMetisOptions
+from ..serial.matching import check_scheme
 
 __all__ = ["GPMetisOptions"]
 
@@ -72,8 +73,7 @@ class GPMetisOptions:
     def __post_init__(self) -> None:
         if self.ubfactor < 1.0:
             raise InvalidParameterError("ubfactor must be >= 1.0")
-        if self.matching not in ("hem", "rm", "lem"):
-            raise InvalidParameterError(f"unknown matching scheme {self.matching!r}")
+        check_scheme(self.matching)
         if self.merge_strategy not in ("hash", "sort"):
             raise InvalidParameterError(f"unknown merge strategy {self.merge_strategy!r}")
         if self.merge_impl not in ("vectorized", "reference"):

@@ -31,7 +31,7 @@ from ..runtime.trace import LevelRecord, RefinementRecord, Trace
 from ..serial.coarsen import CoarseningLevel
 from ..serial.contraction import contract
 from ..serial.kway import final_rebalance
-from ..serial.matching import sequential_match
+from ..serial.matching import check_scheme, sequential_match
 from ..mtmetis.refinement import commit_moves, propose_balance_moves
 from ..serial.project import project_partition
 from .interface import refine_interfaces
@@ -68,6 +68,7 @@ class JostleOptions:
             raise InvalidParameterError("num_ranks must be >= 1")
         if self.ubfactor < 1.0:
             raise InvalidParameterError("ubfactor must be >= 1.0")
+        check_scheme(self.matching)
         if self.coarsen_to_factor < 1:
             raise InvalidParameterError("coarsen_to_factor must be >= 1")
         if self.refine_sweeps < 1 or self.fm_passes < 1:

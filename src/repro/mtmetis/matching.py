@@ -13,20 +13,42 @@ hardware's arbitration).  More threads => bigger batches => staler reads
 mt-metis against thousands-of-threads GP-metis (Table III discussion).
 
 The same engine serves both mt-metis and GP-metis's matching kernel; they
-differ in batch width, retry policy, and cost accounting.
+differ in batch width, retry policy, and cost accounting.  The width also
+picks how a round is replayed.  A round whose widest batch holds at most
+:data:`LIST_WALK_MAX_WIDTH` vertices (mt-metis's CPU threads) walks its
+schedule over Python-list copies of the CSR: a numpy round trip per
+8-vertex batch costs far more than the batch's work.  Wider rounds
+(GP-metis's GPU-wide batches) run :func:`batch_candidates` once per batch.
+Both replays make the same reads, writes and ``rng`` draws.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
 import numpy as np
 
-from .._segments import gather_ranges, segment_ids, segmented_argmax
+from .._segments import gather_ranges, segmented_argmax
+from ..exceptions import InvalidParameterError
 from ..graphs.csr import CSRGraph
+from ..serial.matching import check_scheme
 
-__all__ = ["LockfreeMatchStats", "lockfree_match", "batch_candidates"]
+__all__ = [
+    "LockfreeMatchStats",
+    "lockfree_match",
+    "batch_candidates",
+    "LIST_WALK_MAX_WIDTH",
+]
+
+#: Widest batch (in vertices) of a round that is replayed as a list walk.
+#: The walk costs per scanned arc, the vectorised loop per batch.  On a
+#: 2-vCPU host they break even at about 12 vertices per batch on ldoor
+#: (degree 47) and 64-96 on delaunay and usa_roads (degree 6 and 2.4).
+#: 16 covers mt-metis's thread counts (8 by default) and stays far below
+#: GP-metis's GPU-wide batches.
+LIST_WALK_MAX_WIDTH = 16
 
 
 @dataclass
@@ -58,8 +80,10 @@ def batch_candidates(
     Vectorised equivalent of each CUDA thread's HEM loop: scan the
     adjacency list, skip neighbors that look matched in the (possibly
     stale) snapshot, keep the heaviest (HEM), lightest (LEM) or a random
-    (RM) survivor.  Returns -1 where no free neighbor exists.
+    (RM) survivor.  Returns -1 where no free neighbor exists.  Raises
+    :class:`InvalidParameterError` for a scheme other than hem, lem or rm.
     """
+    check_scheme(scheme)
     lens = (graph.adjp[batch + 1] - graph.adjp[batch]).astype(np.int64)
     flat = gather_ranges(graph.adjp[batch], lens)
     nbrs = graph.adjncy[flat]
@@ -76,6 +100,54 @@ def batch_candidates(
     # win indexes the flat concatenated array directly.
     cand[ok] = nbrs[win[ok]]
     return cand
+
+
+def _walk_batches(
+    csr: tuple[list, list, list | None],
+    match: list,
+    schedule: list[np.ndarray],
+    rng: np.random.Generator,
+    stats: LockfreeMatchStats,
+) -> None:
+    """Replay one round's schedule vertex by vertex over Python lists.
+
+    ``csr`` is ``(adjp, adjncy, keys)``: ``keys`` holds the per-arc keys
+    :func:`batch_candidates` ranks by (the weight for HEM, its negation
+    for LEM), or is ``None`` for RM, whose keys are drawn per batch
+    exactly as there.  Every candidate of a batch reads the pre-batch
+    ``match``; the claims then land in two sweeps, all ``M[v] = u``
+    before all ``M[u] = v``, the last writer winning.
+    """
+    adjp, adjncy, keys = csr
+    for batch in schedule:
+        todo = [v for v in batch.tolist() if match[v] < 0]
+        if not todo:
+            continue
+        scans = 0
+        for v in todo:
+            scans += adjp[v + 1] - adjp[v]
+        stats.edge_scans += scans
+        stats.batch_sizes.append(len(todo))
+        # RM's keys: one draw per batch, laid out arc by arc in todo order.
+        drawn = rng.random(scans).tolist() if keys is None else None
+        offset = 0
+        claims = []
+        for v in todo:
+            s, e = adjp[v], adjp[v + 1]
+            arc_keys, shift = (keys, 0) if drawn is None else (drawn, offset - s)
+            offset += e - s
+            # The first free neighbor of maximal key, in CSR order.
+            best, top = -1, -math.inf
+            for i in range(s, e):
+                key = arc_keys[i + shift]
+                if key > top and match[adjncy[i]] < 0:
+                    best, top = adjncy[i], key
+            if best >= 0:
+                claims.append((v, best))
+        for v, u in claims:
+            match[v] = u
+        for v, u in claims:
+            match[u] = v
 
 
 def lockfree_match(
@@ -104,16 +176,45 @@ def lockfree_match(
         broken** mode that exists only as the sanitizer's mutation
         self-check: the resulting asymmetric writes must be flagged as a
         data race.  Never disable this in production paths.
+
+    Each round's schedule is materialised first.  If its widest batch
+    holds at most :data:`LIST_WALK_MAX_WIDTH` vertices the round is a list
+    walk, otherwise a :func:`batch_candidates` call per batch; the output
+    and the ``rng`` state after the call are the same either way.  Raises
+    :class:`InvalidParameterError` for a scheme other than hem, lem or rm,
+    and for a batch vertex outside ``[0, n)``.
     """
+    check_scheme(scheme)
     rng = rng or np.random.default_rng(0)
     n = graph.num_vertices
     match = np.full(n, -1, dtype=np.int64)
     stats = LockfreeMatchStats()
+    csr_lists = None  # list copies of the CSR, made by the first walked round
 
     def run_round(batch_iter) -> None:
+        nonlocal csr_lists
         stats.rounds += 1
-        for batch in batch_iter:
-            batch = np.asarray(batch, dtype=np.int64)
+        schedule = [np.asarray(batch, dtype=np.int64) for batch in batch_iter]
+        flat = np.concatenate(schedule) if schedule else np.empty(0, np.int64)
+        if flat.size and (flat.min() < 0 or flat.max() >= n):
+            bad = int(flat[(flat < 0) | (flat >= n)][0])
+            raise InvalidParameterError(f"batch vertex {bad} outside [0, {n})")
+        if max((batch.size for batch in schedule), default=0) <= LIST_WALK_MAX_WIDTH:
+            if csr_lists is None:
+                keys = None
+                if scheme != "rm":
+                    weights = graph.adjwgt
+                    if weights.max(initial=0) > 2**53:
+                        # Beyond float64's exact integers batch_candidates'
+                        # keys tie distinct weights: rank by those keys.
+                        weights = weights.astype(np.float64)
+                    keys = (weights if scheme == "hem" else -weights).tolist()
+                csr_lists = (graph.adjp.tolist(), graph.adjncy.tolist(), keys)
+            walked = match.tolist()
+            _walk_batches(csr_lists, walked, schedule, rng, stats)
+            match[:] = walked
+            return
+        for batch in schedule:
             if batch.size == 0:
                 continue
             snapshot = match  # reads against pre-batch state

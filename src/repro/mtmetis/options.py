@@ -5,6 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..exceptions import InvalidParameterError
+from ..serial.matching import check_scheme
 from ..serial.options import SerialOptions
 
 __all__ = ["MtMetisOptions"]
@@ -38,8 +39,7 @@ class MtMetisOptions:
             raise InvalidParameterError("num_threads must be >= 1")
         if self.ubfactor < 1.0:
             raise InvalidParameterError("ubfactor must be >= 1.0")
-        if self.matching not in ("hem", "rm", "lem"):
-            raise InvalidParameterError(f"unknown matching scheme {self.matching!r}")
+        check_scheme(self.matching)
         if self.refine_passes < 1:
             raise InvalidParameterError("refine_passes must be >= 1")
         if self.match_retry_rounds < 0:

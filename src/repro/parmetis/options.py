@@ -5,6 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..exceptions import InvalidParameterError
+from ..serial.matching import check_scheme
 from ..serial.options import SerialOptions
 
 __all__ = ["ParMetisOptions"]
@@ -37,8 +38,7 @@ class ParMetisOptions:
             raise InvalidParameterError("num_ranks must be >= 1")
         if self.ubfactor < 1.0:
             raise InvalidParameterError("ubfactor must be >= 1.0")
-        if self.matching not in ("hem", "rm", "lem"):
-            raise InvalidParameterError(f"unknown matching scheme {self.matching!r}")
+        check_scheme(self.matching)
         if self.match_passes < 1 or self.refine_passes < 1:
             raise InvalidParameterError("pass counts must be >= 1")
 

@@ -23,6 +23,7 @@ from ..serial.bisection import recursive_bisection
 from ..serial.coarsen import CoarseningLevel
 from ..serial.contraction import contract
 from ..serial.kway import final_rebalance
+from ..serial.matching import check_scheme
 from ..serial.options import SerialOptions
 from ..serial.project import project_partition
 from .band import band_refine
@@ -62,6 +63,7 @@ class PTScotchOptions:
             raise InvalidParameterError("num_ranks must be >= 1")
         if self.ubfactor < 1.0:
             raise InvalidParameterError("ubfactor must be >= 1.0")
+        check_scheme(self.matching)
         if not 0.0 < self.request_probability <= 1.0:
             raise InvalidParameterError("request_probability must be in (0, 1]")
         if self.band_distance < 0:

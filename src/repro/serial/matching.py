@@ -12,20 +12,34 @@ quality edge over the lock-free parallel matchings (Table III).  The
 implementation hybridises for speed — a vectorised heaviest-neighbor
 precomputation feeds the sequential pass, which falls back to an explicit
 adjacency scan only when the precomputed candidate was taken earlier in
-the pass.  The produced matching is identical to the fully sequential
-scan.
+the pass.  The pass itself is a plain Python loop over list copies of the
+CSR arrays (a numpy scalar read costs several list reads).  The produced
+matching is identical to the fully sequential scan.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .._segments import segmented_argmax
+from ..exceptions import InvalidParameterError
 from ..graphs.csr import CSRGraph
 
-__all__ = ["MatchResult", "sequential_match", "match_is_valid"]
+__all__ = ["MatchResult", "sequential_match", "match_is_valid", "check_scheme"]
+
+#: The matching schemes every matching function accepts.
+SCHEMES = ("hem", "lem", "rm")
+
+
+def check_scheme(scheme: str) -> None:
+    """Raise :class:`InvalidParameterError` unless ``scheme`` is a known scheme."""
+    if scheme not in SCHEMES:
+        raise InvalidParameterError(
+            f"unknown matching scheme {scheme!r} (expected one of {', '.join(SCHEMES)})"
+        )
 
 
 @dataclass(frozen=True)
@@ -60,20 +74,27 @@ def _precompute_candidates(graph: CSRGraph, scheme: str, rng: np.random.Generato
 def sequential_match(
     graph: CSRGraph, scheme: str = "hem", rng: np.random.Generator | None = None
 ) -> MatchResult:
-    """Strict sequential greedy matching in a random visit order."""
+    """Strict sequential greedy matching in a random visit order.
+
+    Raises :class:`InvalidParameterError` for a scheme outside
+    :data:`SCHEMES`.
+    """
+    check_scheme(scheme)
     rng = rng or np.random.default_rng(0)
     n = graph.num_vertices
-    match = np.full(n, -1, dtype=np.int64)
     if n == 0:
-        return MatchResult(match, 0, 0)
+        return MatchResult(np.full(0, -1, dtype=np.int64), 0, 0)
 
-    cand = _precompute_candidates(graph, scheme, rng)
-    visit = rng.permutation(n)
-    adjp = graph.adjp
-    adjncy = graph.adjncy
-    adjwgt = graph.adjwgt
+    cand = _precompute_candidates(graph, scheme, rng).tolist()
+    visit = rng.permutation(n).tolist()
+    adjp = graph.adjp.tolist()
+    adjncy = graph.adjncy.tolist()
+    if scheme != "rm":
+        # The fallback ranks free neighbors by weight (HEM) or its negation (LEM).
+        keys = (graph.adjwgt if scheme == "hem" else -graph.adjwgt).tolist()
+    match = [-1] * n
     pairs = 0
-    edge_scans = int(graph.num_directed_edges)  # candidate precompute pass
+    edge_scans = graph.num_directed_edges  # candidate precompute pass
 
     for v in visit:
         if match[v] >= 0:
@@ -86,26 +107,25 @@ def sequential_match(
             continue
         # Fallback: scan for the best unmatched neighbor now.
         s, e = adjp[v], adjp[v + 1]
-        nbrs = adjncy[s:e]
-        edge_scans += int(e - s)
-        free = match[nbrs] < 0
-        if not np.any(free):
+        edge_scans += e - s
+        if scheme == "rm":
+            free = [i for i in range(s, e) if match[adjncy[i]] < 0]
+            j = free[rng.integers(0, len(free))] if free else -1
+        else:
+            # The first free neighbor of maximal key, in CSR order.
+            j, top = -1, -math.inf
+            for i in range(s, e):
+                if keys[i] > top and match[adjncy[i]] < 0:
+                    j, top = i, keys[i]
+        if j < 0:
             match[v] = v
             continue
-        if scheme == "hem":
-            j = int(np.argmax(np.where(free, adjwgt[s:e], -1)))
-        elif scheme == "lem":
-            big = int(adjwgt.max(initial=1)) + 1
-            j = int(np.argmin(np.where(free, adjwgt[s:e], big)))
-        else:
-            free_idx = np.where(free)[0]
-            j = int(free_idx[rng.integers(0, free_idx.shape[0])])
-        u = int(nbrs[j])
+        u = adjncy[j]
         match[v] = u
         match[u] = v
         pairs += 1
 
-    return MatchResult(match, pairs, edge_scans)
+    return MatchResult(np.array(match, dtype=np.int64), pairs, edge_scans)
 
 
 def match_is_valid(graph: CSRGraph, match: np.ndarray) -> bool:

@@ -11,6 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..exceptions import InvalidParameterError
+from .matching import check_scheme
 
 __all__ = ["SerialOptions"]
 
@@ -48,8 +49,7 @@ class SerialOptions:
     def __post_init__(self) -> None:
         if self.ubfactor < 1.0:
             raise InvalidParameterError("ubfactor must be >= 1.0")
-        if self.matching not in ("hem", "rm", "lem"):
-            raise InvalidParameterError(f"unknown matching scheme {self.matching!r}")
+        check_scheme(self.matching)
         if self.coarsen_to_factor < 1 or self.coarsen_min < 2:
             raise InvalidParameterError("coarsening thresholds out of range")
         if not (0.0 <= self.min_shrink < 1.0):

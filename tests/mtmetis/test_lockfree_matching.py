@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.exceptions import InvalidParameterError
 from repro.gpmetis.kernels.matching import consecutive_batches
 from repro.graphs import from_edges
 from repro.graphs.generators import complete_graph, delaunay, star_graph
@@ -104,6 +105,37 @@ class TestLockfreeMatch:
         match, stats = lockfree_match(g, iter([]))
         assert match.size == 0
         assert stats.pairs == 0
+
+
+class TestTypedErrors:
+    @pytest.mark.parametrize("scheme", ["HEM", "heavy", ""])
+    def test_unknown_scheme(self, medium_graph, scheme):
+        n = medium_graph.num_vertices
+        with pytest.raises(InvalidParameterError, match="unknown matching scheme"):
+            lockfree_match(medium_graph, batches_of(n, 8), scheme=scheme)
+        with pytest.raises(InvalidParameterError, match="unknown matching scheme"):
+            batch_candidates(
+                medium_graph, np.array([0]), np.full(n, -1, dtype=np.int64),
+                scheme, np.random.default_rng(0),
+            )
+
+    # One narrow round (list walk) and one GPU-wide round (vectorised).
+    @pytest.mark.parametrize("width", [8, 1000])
+    @pytest.mark.parametrize("bad", [-1, 800, 10**6])
+    def test_batch_vertex_out_of_range(self, medium_graph, width, bad):
+        n = medium_graph.num_vertices  # 800
+        batches = list(batches_of(n, width))
+        batches[-1] = np.append(batches[-1], bad)
+        with pytest.raises(InvalidParameterError, match=f"batch vertex {bad} outside"):
+            lockfree_match(medium_graph, batches)
+
+    def test_out_of_range_retry_schedule(self):
+        g = complete_graph(64)
+        with pytest.raises(InvalidParameterError, match="batch vertex -1"):
+            lockfree_match(
+                g, batches_of(64, 64), retry_rounds=1,
+                batch_maker=lambda items: [np.append(items, -1)],
+            )
 
 
 @given(

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.exceptions import InvalidParameterError
 from repro.graphs import from_edges
 from repro.graphs.generators import complete_graph, cycle_graph, path_graph, star_graph
 from repro.serial.matching import match_is_valid, sequential_match
@@ -94,6 +95,14 @@ class TestSchemes:
         g = star_graph(10)
         res = sequential_match(g, "hem", np.random.default_rng(0))
         assert res.pairs == 1  # the center can pair only once
+
+
+@pytest.mark.parametrize("scheme", ["HEM", "heavy", ""])
+def test_unknown_scheme_is_a_typed_error(grid, scheme):
+    with pytest.raises(InvalidParameterError, match="unknown matching scheme"):
+        sequential_match(grid, scheme, np.random.default_rng(0))
+    with pytest.raises(InvalidParameterError, match="unknown matching scheme"):
+        sequential_match(from_edges(0, []), scheme)
 
 
 @st.composite

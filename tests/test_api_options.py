@@ -66,6 +66,19 @@ class TestOptionAliases:
         with pytest.raises(InvalidParameterError, match="valid options"):
             resolve_options("random", nparts=4)
 
+    @pytest.mark.parametrize(
+        "method",
+        [key for key, (_, opts_cls) in PARTITIONERS.items()
+         if "matching" in opts_cls.__dataclass_fields__],
+    )
+    def test_unknown_matching_scheme_rejected(self, method):
+        # Every engine with a matching option checks it when built, not
+        # at its first coarsening level.
+        for scheme in ("hem", "lem", "rm"):
+            assert resolve_options(method, matching=scheme).matching == scheme
+        with pytest.raises(InvalidParameterError, match="unknown matching scheme"):
+            resolve_options(method, matching="HEM")
+
 
 class TestDeprecatedSurface:
     def test_other_attributes_still_raise(self):

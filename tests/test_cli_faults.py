@@ -97,7 +97,9 @@ class TestLedgerErrorPaths:
 
     def test_roofline_non_integer_index_exits_2(self, good_ledger, capsys):
         assert main(["roofline", "--ledger", f"{good_ledger}:last"]) == 2
-        assert capsys.readouterr().err.startswith("error:")
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        assert "index 'last' is not an integer" in err
 
     def test_gate_malformed_baseline_exits_2(self, good_ledger, bad_ledger,
                                              capsys):
@@ -106,16 +108,22 @@ class TestLedgerErrorPaths:
         assert capsys.readouterr().err.startswith("error:")
 
 
+def _cli_env():
+    """The environment of a ``python -m repro`` subprocess: this checkout's
+    sources first, and stdout flushed at every line."""
+    env = dict(os.environ, PYTHONUNBUFFERED="1")
+    src = str(Path(repro.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return env
+
+
 class TestGraphFileErrors:
     def test_truncated_graph_exits_2_without_traceback(self, tmp_path):
         path = tmp_path / "trunc.graph"
         path.write_text("3 2\n2\n")
-        env = dict(os.environ)
-        src = str(Path(repro.__file__).resolve().parents[1])
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
         proc = subprocess.run(
             [sys.executable, "-m", "repro", "info", str(path)],
-            env=env, capture_output=True, text=True,
+            env=_cli_env(), capture_output=True, text=True,
         )
         assert proc.returncode == 2
         assert proc.stderr.startswith("error:")
@@ -221,3 +229,30 @@ class TestFaultsCommand:
         assert main(["partition", grid_file, "-k", "2",
                      "--fault-plan", str(plan), "--fault-seed", "2"]) == 2
         assert capsys.readouterr().err.startswith("error:")
+
+
+class TestUsageAndOutput:
+    def test_sanitize_with_other_method_is_a_usage_error(self, grid_file,
+                                                         capsys):
+        assert main(["partition", grid_file, "--method", "metis",
+                     "--sanitize"]) == 2
+        err = capsys.readouterr().err
+        assert err == "error: --sanitize requires --method gp-metis\n"
+
+    def test_closed_stdout_exits_quietly(self, mesh_file):
+        # ``partition ... | head -2``: the plan lines come before the run,
+        # so the reader has closed the pipe before the report is printed.
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "repro", "partition", mesh_file, "-k", "8",
+             "--fault-seed", "5", "--tree"],
+            env=_cli_env(), stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+            text=True,
+        )
+        assert proc.stdout.readline().startswith("input:")
+        assert proc.stdout.readline()
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait() == 1
+        assert "Traceback" not in err
+        assert "BrokenPipeError" not in err
