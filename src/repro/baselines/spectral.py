@@ -26,6 +26,8 @@ from .options import SpectralOptions
 __all__ = ["fiedler_vector", "spectral_bisect", "SpectralPartitioner"]
 
 _DENSE_CUTOFF = 64  # below this, dense eigendecomposition is cheaper/safer
+#: Modeled Lanczos sweeps per bisection (drives the cost model).
+LANCZOS_ITERATIONS = 60
 
 
 def fiedler_vector(graph: CSRGraph, seed: int = 0) -> np.ndarray:
@@ -91,7 +93,7 @@ def spectral_bisect(
 class SpectralPartitioner(Engine):
     """Recursive spectral bisection to k parts (no multilevel, no FM).
 
-    Cost model: each bisection runs Lanczos — ~``iterations`` sparse
+    Cost model: each bisection runs Lanczos — ``LANCZOS_ITERATIONS`` sparse
     mat-vecs over the subgraph, at CPU edge-op rates.  This is what makes
     spectral slow next to multilevel (Sec. II's claim): the whole graph
     is swept ~60+ times per split instead of once per level.
@@ -120,10 +122,10 @@ class SpectralPartitioner(Engine):
             clock.charge(
                 "compute",
                 self.machine.cpu.edge_seconds(
-                    opts.lanczos_iterations * g.num_directed_edges,
+                    LANCZOS_ITERATIONS * g.num_directed_edges,
                     avg_degree=2 * g.num_edges / max(1, g.num_vertices),
                 ),
-                count=float(opts.lanczos_iterations * g.num_directed_edges),
+                count=float(LANCZOS_ITERATIONS * g.num_directed_edges),
                 detail=f"lanczos n={g.num_vertices}",
             )
             side1 = np.where(labels == 1)[0]

@@ -18,8 +18,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from ..api import make_partitioner
 from ..graphs.csr import CSRGraph
 from ..graphs.datasets import PAPER_DATASETS

@@ -11,8 +11,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from ..api import make_partitioner
 from ..graphs.csr import CSRGraph
 from ..runtime.machine import PAPER_MACHINE, MachineSpec

@@ -17,8 +17,9 @@ ten engines and lives here, in :meth:`Engine.partition`:
   :class:`~repro.result.PartitionResult`.
 
 An engine subclasses :class:`Engine`, sets ``name`` and
-``options_class``, and writes :meth:`Engine.run_phases`: charge the
-phases to the clock, return a :class:`PhaseOutput`.
+``options_class`` (a subclass of :class:`EngineOptions`), and writes
+:meth:`Engine.run_phases`: charge the phases to the clock, return a
+:class:`PhaseOutput`.
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ from .runtime.clock import SimClock
 from .runtime.machine import PAPER_MACHINE, MachineSpec
 from .runtime.trace import Trace
 
-__all__ = ["Engine", "PhaseOutput", "check_k"]
+__all__ = ["Engine", "EngineOptions", "PhaseOutput", "check_k"]
 
 
 def check_k(k) -> None:
@@ -49,6 +50,26 @@ def check_k(k) -> None:
     """
     if isinstance(k, bool) or not isinstance(k, (int, np.integer)) or k < 1:
         raise InvalidParameterError(f"k must be an int >= 1, got {k!r}")
+
+
+@dataclass(frozen=True)
+class EngineOptions:
+    """The options every engine has: what :meth:`Engine.partition` reads."""
+
+    #: Balance tolerance: max part weight <= ubfactor x ideal (paper: 1.03).
+    ubfactor: float = 1.03
+    #: RNG seed (matching order, GGGP seeds, random assignment, ...).
+    seed: int = 1
+    #: Optional fault plan (see :mod:`repro.faults`): a FaultPlan, a plan
+    #: dict, or a path to a plan JSON file.  ``None`` disables injection.
+    fault_plan: object = None
+    #: Respond to injected faults with retry/degradation (True) or let
+    #: them crash the run (False — the mutation ``repro selfcheck`` runs).
+    fault_recovery: bool = True
+
+    def __post_init__(self) -> None:
+        if self.ubfactor < 1.0:
+            raise InvalidParameterError("ubfactor must be >= 1.0")
 
 
 @dataclass
@@ -70,8 +91,8 @@ class Engine:
     """A partitioner built from ``(options, machine)``.
 
     Subclasses set ``name`` (the registry key) and ``options_class`` (a
-    frozen options dataclass carrying ``fault_plan`` / ``fault_recovery``)
-    and implement :meth:`run_phases`.
+    frozen :class:`EngineOptions` subclass) and implement
+    :meth:`run_phases`.
     """
 
     name: str

@@ -26,8 +26,7 @@ from ..serial.bisection import recursive_bisection
 from ..serial.coarsen import CoarseningLevel
 from ..serial.contraction import contract
 from ..serial.kway import final_rebalance, kway_refine
-from ..serial.matching import check_scheme
-from ..serial.options import SerialOptions
+from ..serial.options import FM_PASSES, GGGP_TRIALS, MIN_SHRINK, MultilevelOptions
 from ..serial.project import project_partition
 from .speculative import SpeculativeExecutor
 
@@ -35,45 +34,18 @@ __all__ = ["Gmetis", "GmetisOptions"]
 
 
 @dataclass(frozen=True)
-class GmetisOptions:
+class GmetisOptions(MultilevelOptions):
     """Knobs of the Gmetis reproduction."""
 
     num_threads: int = 8
-    ubfactor: float = 1.03
-    matching: str = "hem"
-    coarsen_to_factor: int = 20
-    coarsen_min: int = 64
-    min_shrink: float = 0.05
     refine_passes: int = 4
-    seed: int = 1
-    #: Optional fault plan (see :mod:`repro.faults`): a FaultPlan, a plan
-    #: dict, or a path to a plan JSON file.  ``None`` disables injection.
-    fault_plan: object = None
-    #: Respond to injected faults with retry/degradation (True) or let
-    #: them crash the run (False — the mutation ``repro selfcheck`` runs).
-    fault_recovery: bool = True
 
     def __post_init__(self) -> None:
+        super().__post_init__()
         if self.num_threads < 1:
             raise InvalidParameterError("num_threads must be >= 1")
-        if self.ubfactor < 1.0:
-            raise InvalidParameterError("ubfactor must be >= 1.0")
-        check_scheme(self.matching)
         if self.refine_passes < 1:
             raise InvalidParameterError("refine_passes must be >= 1")
-
-    def coarsen_target(self, k: int) -> int:
-        return max(self.coarsen_min, self.coarsen_to_factor * k)
-
-    def serial_options(self) -> SerialOptions:
-        return SerialOptions(
-            ubfactor=self.ubfactor,
-            matching=self.matching,
-            coarsen_to_factor=self.coarsen_to_factor,
-            coarsen_min=self.coarsen_min,
-            min_shrink=self.min_shrink,
-            seed=self.seed,
-        )
 
 
 class Gmetis(Engine):
@@ -87,7 +59,8 @@ class Gmetis(Engine):
         self, graph: CSRGraph, executor: SpeculativeExecutor,
         rng: np.random.Generator, detail: str,
     ):
-        """HEM as a Galois iterator: lock v + neighbors, match greedily."""
+        """The matching as a Galois iterator: lock v + neighbors, match
+        greedily (HEM, LEM or RM, as ``options.matching`` says)."""
         n = graph.num_vertices
         match = np.full(n, -1, dtype=np.int64)
         adjp, adjncy, adjwgt = graph.adjp, graph.adjncy, graph.adjwgt
@@ -107,6 +80,10 @@ class Gmetis(Engine):
                 return
             if scheme == "hem":
                 j = int(np.argmax(np.where(free, adjwgt[s:e], -1)))
+            elif scheme == "lem":
+                # The first free neighbor of minimal weight, in CSR order.
+                idx = np.flatnonzero(free)
+                j = int(idx[np.argmin(adjwgt[s:e][idx])])
             else:
                 idx = np.where(free)[0]
                 j = int(idx[rng.integers(0, idx.shape[0])])
@@ -169,12 +146,12 @@ class Gmetis(Engine):
             levels.append(CoarseningLevel(graph=current, cmap=cmap))
             current = coarse
             level_idx += 1
-            if shrink < opts.min_shrink:
+            if shrink < MIN_SHRINK:
                 break
 
         clock.set_phase("initpart")
         part = recursive_bisection(current, k, opts.serial_options(), rng=rng)
-        sweeps = 8 * max(1, int(np.ceil(np.log2(max(k, 2)))))
+        sweeps = (GGGP_TRIALS + FM_PASSES) * max(1, int(np.ceil(np.log2(max(k, 2)))))
         clock.charge(
             "compute",
             self.machine.cpu.edge_seconds(sweeps * current.num_directed_edges),

@@ -64,6 +64,7 @@ from ..runtime.machine import MachineSpec
 from ..runtime.threads import ThreadPoolSim
 from ..runtime.trace import LevelRecord, RefinementRecord, Trace
 from ..serial.kway import final_rebalance
+from ..serial.options import MIN_SHRINK
 from ..serial.project import project_partition
 from .kernels.cmap import gpu_build_cmap
 from .kernels.contraction import gpu_contract
@@ -71,7 +72,7 @@ from .kernels.matching import gpu_match
 from .kernels.projection import gpu_project
 from .kernels.refinement import gpu_refine_level
 from .memory_planning import plan_device_memory
-from .options import GPMetisOptions
+from .options import MAX_GPU_THREADS, GPMetisOptions
 from .thresholds import gpu_stop_size
 
 __all__ = ["GpuLevel", "HybridOutcome", "run_hybrid"]
@@ -248,7 +249,7 @@ def run_hybrid(
 
     while current.graph.num_vertices > stop_at:
         nv = current.graph.num_vertices
-        n_threads = threads_for_items(nv, opts.max_gpu_threads)
+        n_threads = threads_for_items(nv, MAX_GPU_THREADS)
         try:
             with clock_span(
                 clock, f"level {level_idx}", category="level",
@@ -271,7 +272,7 @@ def run_hybrid(
                     # contraction kernels still run.
                     will_stop = (
                         n_coarse <= stop_at
-                        or (1.0 - n_coarse / nv) < opts.min_shrink
+                        or (1.0 - n_coarse / nv) < MIN_SHRINK
                     )
                     if will_stop:
                         copy_out = make_copy_out()
@@ -317,7 +318,7 @@ def run_hybrid(
         shrink = 1.0 - outcome.coarse.num_vertices / nv
         current = GpuLevel(graph=outcome.coarse, d_csr=outcome.d_coarse)
         level_idx += 1
-        if shrink < opts.min_shrink:
+        if shrink < MIN_SHRINK:
             break
 
     # ------------------------------------------------------------------
@@ -406,7 +407,7 @@ def run_hybrid(
             for li in range(len(gpu_levels) - 1, -1, -1):
                 level = gpu_levels[li]
                 n_threads = threads_for_items(
-                    level.graph.num_vertices, opts.max_gpu_threads
+                    level.graph.num_vertices, MAX_GPU_THREADS
                 )
                 assert level.d_cmap is not None
                 projected = False

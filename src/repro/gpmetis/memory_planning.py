@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 from ..graphs.csr import CSRGraph
 from ..runtime.machine import GpuSpec
-from .options import GPMetisOptions
+from .options import MAX_GPU_THREADS, GPMetisOptions
 from .thresholds import gpu_stop_size
 
 __all__ = ["MemoryPlan", "plan_device_memory"]
@@ -91,7 +91,7 @@ def plan_device_memory(
         level_csr = (cur_n + 1) * _INT + 2 * cur_m2 * _INT + cur_n * _INT
         ladder += level_csr + 2 * cur_n * _INT
         # Contraction staging peaks at tadjncy+tadjwgt (~ 2x arcs) + temps.
-        scratch_peak = max(scratch_peak, 2 * cur_m2 * _INT + 4 * opts.max_gpu_threads * _INT)
+        scratch_peak = max(scratch_peak, 2 * cur_m2 * _INT + 4 * MAX_GPU_THREADS * _INT)
         cur_n = max(1, int(cur_n * shrink_per_level))
         cur_m2 = max(0, int(cur_m2 * shrink_per_level))
         levels += 1
@@ -101,7 +101,7 @@ def plan_device_memory(
     hash_bytes = 0
     if opts.merge_strategy == "hash" and levels:
         first_coarse = max(1, int(n * shrink_per_level))
-        hash_bytes = first_coarse * min(n, opts.max_gpu_threads) * 16
+        hash_bytes = first_coarse * min(n, MAX_GPU_THREADS) * 16
 
     # The input CSR *is* the ladder's level 0; don't count it twice.  A
     # run with no GPU levels still holds the input on the device.

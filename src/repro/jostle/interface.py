@@ -25,6 +25,9 @@ from ..serial.fm import fm_refine_bisection
 
 __all__ = ["InterfaceRoundStats", "partition_pairs", "pair_rounds", "refine_interfaces"]
 
+#: KL/FM passes per interface region and sweep.
+FM_PASSES = 2
+
 
 @dataclass
 class InterfaceRoundStats:
@@ -104,7 +107,7 @@ def refine_interfaces(
     part: np.ndarray,
     k: int,
     ubfactor: float,
-    fm_passes: int = 2,
+    fm_passes: int = FM_PASSES,
 ) -> tuple[np.ndarray, list[InterfaceRoundStats]]:
     """One sweep of pairwise KL/FM over all interface regions.
 

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..engine import Engine, PhaseOutput
+from ..engine import Engine, EngineOptions, PhaseOutput
 from ..exceptions import InvalidParameterError
 from ..graphs.csr import CSRGraph
 from ..graphs.metrics import edge_cut
@@ -34,45 +34,35 @@ from ..serial.kway import final_rebalance
 from ..serial.matching import check_scheme, sequential_match
 from ..mtmetis.refinement import commit_moves, propose_balance_moves
 from ..serial.project import project_partition
-from .interface import refine_interfaces
+from .interface import FM_PASSES, refine_interfaces
 
 __all__ = ["Jostle", "JostleOptions"]
 
+#: Stop coarsening at ~this multiple of k (1 = the paper's "equal to the
+#: number of required partitions"; slightly above keeps the trivial
+#: assignment balanced on weighted coarse vertices).
+COARSEN_TO_FACTOR = 2
+#: Stop if a level shrinks the graph by less than this fraction.
+MIN_SHRINK = 0.02
+#: Interface-refinement sweeps per uncoarsening level.
+REFINE_SWEEPS = 2
+
 
 @dataclass(frozen=True)
-class JostleOptions:
+class JostleOptions(EngineOptions):
     """Knobs of the parallel Jostle reproduction."""
 
     num_ranks: int = 8
-    ubfactor: float = 1.03
+    #: Matching scheme: "hem" (heavy edge), "rm" (random), "lem" (light edge).
     matching: str = "hem"
     #: Switch from distributed to replicated coarsening below this size.
     broadcast_threshold: int = 4096
-    #: Stop coarsening at ~this multiple of k (1 = the paper's "equal to
-    #: the number of required partitions"; slightly above keeps the
-    #: trivial assignment balanced on weighted coarse vertices).
-    coarsen_to_factor: int = 2
-    min_shrink: float = 0.02
-    refine_sweeps: int = 2
-    fm_passes: int = 2
-    seed: int = 1
-    #: Optional fault plan (see :mod:`repro.faults`): a FaultPlan, a plan
-    #: dict, or a path to a plan JSON file.  ``None`` disables injection.
-    fault_plan: object = None
-    #: Respond to injected faults with retry/degradation (True) or let
-    #: them crash the run (False).
-    fault_recovery: bool = True
 
     def __post_init__(self) -> None:
+        super().__post_init__()
         if self.num_ranks < 1:
             raise InvalidParameterError("num_ranks must be >= 1")
-        if self.ubfactor < 1.0:
-            raise InvalidParameterError("ubfactor must be >= 1.0")
         check_scheme(self.matching)
-        if self.coarsen_to_factor < 1:
-            raise InvalidParameterError("coarsen_to_factor must be >= 1")
-        if self.refine_sweeps < 1 or self.fm_passes < 1:
-            raise InvalidParameterError("sweep/pass counts must be >= 1")
 
 
 class Jostle(Engine):
@@ -130,7 +120,7 @@ class Jostle(Engine):
         levels: list[CoarseningLevel] = []
         current = graph
         level_idx = 0
-        target = max(k, opts.coarsen_to_factor * k)
+        target = COARSEN_TO_FACTOR * k
         broadcast_done = False
         while current.num_vertices > target:
             avg_deg = 2 * current.num_edges / max(1, current.num_vertices)
@@ -168,7 +158,7 @@ class Jostle(Engine):
             levels.append(CoarseningLevel(graph=current, cmap=cmap))
             current = coarse
             level_idx += 1
-            if shrink < opts.min_shrink:
+            if shrink < MIN_SHRINK:
                 break
 
         # --------------------------------------------------------------
@@ -194,11 +184,10 @@ class Jostle(Engine):
             # Jostle accepts unbalancing moves mid-sweep; give FM slack
             # and let the following sweep (and finer levels) rebalance.
             sweep_ub = opts.ubfactor + 0.15
-            for sweep in range(opts.refine_sweeps):
+            for sweep in range(REFINE_SWEEPS):
                 part, round_stats = refine_interfaces(
                     level.graph, part, k,
                     ubfactor=opts.ubfactor if sweep else sweep_ub,
-                    fm_passes=opts.fm_passes,
                 )
                 for rs in round_stats:
                     # A round's pairs spread over the ranks: wall time is
@@ -211,7 +200,7 @@ class Jostle(Engine):
                     critical = max(
                         max(sizes, default=0),
                         sum(sizes) / max(1, mpi.num_ranks),
-                    ) * avg_deg * (1 + opts.fm_passes)
+                    ) * avg_deg * (1 + FM_PASSES)
                     per_rank = np.zeros(mpi.num_ranks)
                     per_rank[0] = critical
                     mpi.compute(per_rank, detail=f"interface round L{li}")

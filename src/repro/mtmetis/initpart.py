@@ -16,11 +16,10 @@ from __future__ import annotations
 import numpy as np
 
 from ..graphs.csr import CSRGraph
-from ..graphs.metrics import edge_cut
 from ..serial.bisection import recursive_bisection
 from ..serial.fm import fm_refine_bisection
 from ..serial.gggp import gggp_bisect
-from ..serial.options import SerialOptions
+from ..serial.options import FM_PASSES, GGGP_TRIALS, SerialOptions
 
 __all__ = ["parallel_recursive_bisection"]
 
@@ -41,14 +40,14 @@ def _best_of_bisections(
         t1 = int(round(total * fraction))
         res = fm_refine_bisection(
             graph, labels, (total - t1, t1),
-            ubfactor=opts.ubfactor, max_passes=opts.fm_passes,
+            ubfactor=opts.ubfactor, max_passes=FM_PASSES,
         )
         if best_cut is None or res.cut < best_cut:
             best_cut = res.cut
             best = res.part
     assert best is not None
     # One bisection's edge work: GGGP + FM sweeps over the (sub)graph.
-    sweeps = 1 + opts.fm_passes
+    sweeps = 1 + FM_PASSES
     return best, float(sweeps * graph.num_directed_edges)
 
 
@@ -70,7 +69,7 @@ def parallel_recursive_bisection(
         return np.zeros(n, dtype=np.int64), 0.0
     if num_threads <= 1:
         labels = recursive_bisection(graph, k, opts, rng=rng)
-        sweeps = (opts.gggp_trials + opts.fm_passes) * max(
+        sweeps = (GGGP_TRIALS + FM_PASSES) * max(
             1, int(np.ceil(np.log2(max(k, 2))))
         )
         return labels, float(sweeps * graph.num_directed_edges)

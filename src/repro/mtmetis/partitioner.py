@@ -24,6 +24,7 @@ from ..runtime.threads import ThreadPoolSim, block_ownership
 from ..runtime.trace import LevelRecord, RefinementRecord, Trace
 from ..serial.coarsen import CoarseningLevel
 from ..serial.kway import final_rebalance
+from ..serial.options import MIN_SHRINK
 from ..serial.project import project_partition
 from .contraction import threaded_contract
 from .initpart import parallel_recursive_bisection
@@ -32,6 +33,10 @@ from .options import MtMetisOptions
 from .refinement import refine_level
 
 __all__ = ["MtMetis"]
+
+#: Lock-free retry rounds for conflicted vertices before they self-match
+#: (mt-metis: "the corresponding vertices are matched again").
+MATCH_RETRY_ROUNDS = 1
 
 
 class MtMetis(Engine):
@@ -74,7 +79,7 @@ class MtMetis(Engine):
                     ),
                     scheme=opts.matching,
                     rng=rng,
-                    retry_rounds=opts.match_retry_rounds,
+                    retry_rounds=MATCH_RETRY_ROUNDS,
                     batch_maker=batch_maker,
                 )
                 per_vertex_scans = current.degrees().astype(np.float64)
@@ -102,7 +107,7 @@ class MtMetis(Engine):
             levels.append(CoarseningLevel(graph=current, cmap=_cmap))
             current = coarse
             level_idx += 1
-            if shrink < opts.min_shrink:
+            if shrink < MIN_SHRINK:
                 break
         return levels, current
 

@@ -428,13 +428,6 @@ def check_transfer_consistency(profiler, device_stats, *, rel_tol=1e-9) -> None:
 # ----------------------------------------------------------------------
 # Rendering: the ASCII roofline + kernel table for the CLI
 # ----------------------------------------------------------------------
-def _fmt_rate(x: float) -> str:
-    for unit, div in (("T", 1e12), ("G", 1e9), ("M", 1e6), ("K", 1e3)):
-        if x >= div:
-            return f"{x / div:.1f} {unit}"
-    return f"{x:.1f} "
-
-
 def render_kernel_table(gpu: dict) -> str:
     """Per-kernel roofline table (the ``roofline`` CLI's main view)."""
     lines = [

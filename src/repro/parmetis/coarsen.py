@@ -16,6 +16,7 @@ from ..runtime.mpi import MpiSim
 from ..runtime.trace import LevelRecord, Trace
 from ..serial.coarsen import CoarseningLevel
 from ..serial.contraction import contract
+from ..serial.options import MIN_SHRINK
 from .distgraph import DistGraph
 from .matching import distributed_match
 from .options import ParMetisOptions
@@ -42,8 +43,7 @@ def distributed_coarsen(
             engine="mpi", num_vertices=current.graph.num_vertices,
         ):
             match, mstats = distributed_match(
-                current, mpi, scheme=opts.matching, num_passes=opts.match_passes,
-                rng=rng,
+                current, mpi, scheme=opts.matching, rng=rng
             )
             # Adjacency migration for cross-rank pairs: the higher-id
             # endpoint's list moves to the lower-id endpoint's owner (8 B
@@ -87,6 +87,6 @@ def distributed_coarsen(
         levels.append(CoarseningLevel(graph=current.graph, cmap=cmap))
         current = DistGraph.distribute(coarse_graph, current.num_ranks)
         level_idx += 1
-        if shrink < opts.min_shrink:
+        if shrink < MIN_SHRINK:
             break
     return levels, current

@@ -19,7 +19,7 @@ import numpy as np
 from ..graphs.csr import CSRGraph
 from ..runtime.mpi import MpiSim
 from ..serial.bisection import recursive_bisection
-from ..serial.options import SerialOptions
+from ..serial.options import FM_PASSES, GGGP_TRIALS, SerialOptions
 
 __all__ = ["distributed_initial_partition"]
 
@@ -39,7 +39,7 @@ def distributed_initial_partition(
 
     # Critical path: one branch of the bisection tree — the subgraph halves
     # each level, so the chain sums to ~2x one full sweep set.
-    sweeps = opts.gggp_trials + opts.fm_passes
+    sweeps = GGGP_TRIALS + FM_PASSES
     chain_edges = 2.0 * graph.num_directed_edges * sweeps
     per_rank = np.zeros(mpi.num_ranks)
     per_rank[0] = chain_edges  # every rank walks one chain; charge the max

@@ -24,6 +24,7 @@ import numpy as np
 from .._segments import gather_ranges, segmented_argmax
 from ..graphs.csr import CSRGraph
 from ..runtime.mpi import MpiSim
+from ..serial.matching import check_scheme
 from .distgraph import DistGraph
 
 __all__ = ["DistMatchStats", "distributed_match"]
@@ -77,8 +78,10 @@ def distributed_match(
 
     Messages are charged per pass: one aggregated request message per
     (src rank, dst rank) with work, one grant message back, plus a
-    termination allreduce.
+    termination allreduce.  Raises :class:`InvalidParameterError` for a
+    scheme outside hem/lem/rm.
     """
+    check_scheme(scheme)
     rng = rng or np.random.default_rng(0)
     graph = dist.graph
     n = graph.num_vertices

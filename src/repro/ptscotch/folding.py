@@ -19,8 +19,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from ..graphs.csr import CSRGraph
 from ..runtime.mpi import MpiSim
 

@@ -18,9 +18,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .._segments import gather_ranges, segmented_argmax
-from ..graphs.csr import CSRGraph
 from ..runtime.mpi import MpiSim
 from ..parmetis.distgraph import DistGraph
+from ..serial.matching import check_scheme
 
 __all__ = ["MonteCarloMatchStats", "montecarlo_match"]
 
@@ -42,7 +42,11 @@ def montecarlo_match(
     request_probability: float = 0.5,
     rng: np.random.Generator | None = None,
 ) -> tuple[np.ndarray, MonteCarloMatchStats]:
-    """Run the probabilistic request/grant matching; returns (match, stats)."""
+    """Run the probabilistic request/grant matching; returns (match, stats).
+
+    Raises :class:`InvalidParameterError` for a scheme outside hem/lem/rm.
+    """
+    check_scheme(scheme)
     rng = rng or np.random.default_rng(0)
     graph = dist.graph
     n = graph.num_vertices
@@ -72,8 +76,12 @@ def montecarlo_match(
             requesting = np.zeros(n, dtype=bool)
             requesting[requesters] = True
             valid = (match[nbrs] < 0) & ~requesting[nbrs]
+            # Each requester asks its first valid neighbor of maximal key,
+            # in CSR order: the weight for HEM, its negation for LEM.
             if scheme == "hem" and not uniform:
                 keys = graph.adjwgt[flat].astype(np.float64)
+            elif scheme == "lem":
+                keys = -graph.adjwgt[flat].astype(np.float64)
             else:
                 keys = rng.random(flat.shape[0])
             win = segmented_argmax(keys, lens, valid=valid)

@@ -23,8 +23,7 @@ from ..serial.bisection import recursive_bisection
 from ..serial.coarsen import CoarseningLevel
 from ..serial.contraction import contract
 from ..serial.kway import final_rebalance
-from ..serial.matching import check_scheme
-from ..serial.options import SerialOptions
+from ..serial.options import FM_PASSES, GGGP_TRIALS, MIN_SHRINK, MultilevelOptions
 from ..serial.project import project_partition
 from .band import band_refine
 from .folding import FoldState, fold, should_fold
@@ -34,55 +33,20 @@ __all__ = ["PTScotch", "PTScotchOptions"]
 
 
 @dataclass(frozen=True)
-class PTScotchOptions:
+class PTScotchOptions(MultilevelOptions):
     """Knobs of the PT-Scotch reproduction."""
 
     num_ranks: int = 8
-    ubfactor: float = 1.03
-    matching: str = "hem"
-    match_rounds: int = 6
-    request_probability: float = 0.5
     #: Fold when the per-rank vertex share drops below this.
     fold_threshold: int = 2048
-    coarsen_to_factor: int = 20
-    coarsen_min: int = 64
-    min_shrink: float = 0.05
     refine_passes: int = 4
-    #: Hop distance of the refinement band around the separators.
-    band_distance: int = 2
-    seed: int = 1
-    #: Optional fault plan (see :mod:`repro.faults`): a FaultPlan, a plan
-    #: dict, or a path to a plan JSON file.  ``None`` disables injection.
-    fault_plan: object = None
-    #: Respond to injected faults with retry/degradation (True) or let
-    #: them crash the run (False).
-    fault_recovery: bool = True
 
     def __post_init__(self) -> None:
+        super().__post_init__()
         if self.num_ranks < 1:
             raise InvalidParameterError("num_ranks must be >= 1")
-        if self.ubfactor < 1.0:
-            raise InvalidParameterError("ubfactor must be >= 1.0")
-        check_scheme(self.matching)
-        if not 0.0 < self.request_probability <= 1.0:
-            raise InvalidParameterError("request_probability must be in (0, 1]")
-        if self.band_distance < 0:
-            raise InvalidParameterError("band_distance must be >= 0")
-        if self.match_rounds < 1 or self.refine_passes < 1:
-            raise InvalidParameterError("round/pass counts must be >= 1")
-
-    def coarsen_target(self, k: int) -> int:
-        return max(self.coarsen_min, self.coarsen_to_factor * k)
-
-    def serial_options(self) -> SerialOptions:
-        return SerialOptions(
-            ubfactor=self.ubfactor,
-            matching=self.matching,
-            coarsen_to_factor=self.coarsen_to_factor,
-            coarsen_min=self.coarsen_min,
-            min_shrink=self.min_shrink,
-            seed=self.seed,
-        )
+        if self.refine_passes < 1:
+            raise InvalidParameterError("refine_passes must be >= 1")
 
 
 class PTScotch(Engine):
@@ -110,10 +74,7 @@ class PTScotch(Engine):
         while current.num_vertices > target:
             dist = DistGraph.distribute(current, max(1, state.group_size))
             match, mstats = montecarlo_match(
-                dist, mpi, scheme=opts.matching,
-                max_rounds=opts.match_rounds,
-                request_probability=opts.request_probability,
-                rng=rng,
+                dist, mpi, scheme=opts.matching, rng=rng
             )
             coarse, cmap = contract(current, match)
             per_rank = np.bincount(
@@ -141,7 +102,7 @@ class PTScotch(Engine):
             if should_fold(current, state, opts.fold_threshold):
                 state = fold(current, state, mpi)
                 folds += 1
-            if shrink < opts.min_shrink:
+            if shrink < MIN_SHRINK:
                 break
 
         # --------------------------------------------------------------
@@ -161,7 +122,7 @@ class PTScotch(Engine):
                 best_cut, best_part = cut, cand
         assert best_part is not None
         part = best_part
-        sweeps = (opts.serial_options().gggp_trials + opts.serial_options().fm_passes)
+        sweeps = GGGP_TRIALS + FM_PASSES
         depth = max(1, int(np.ceil(np.log2(max(k, 2)))))
         per_rank = np.zeros(mpi.num_ranks)
         per_rank[0] = sweeps * depth * current.num_directed_edges
@@ -178,8 +139,7 @@ class PTScotch(Engine):
             part = project_partition(part, level.cmap)
             cut_before = edge_cut(level.graph, part)
             part, band_size = band_refine(
-                level.graph, part, k, opts.ubfactor,
-                opts.refine_passes, opts.band_distance,
+                level.graph, part, k, opts.ubfactor, opts.refine_passes
             )
             dist = DistGraph.distribute(level.graph, opts.num_ranks)
             band_share = band_size / max(1, level.graph.num_vertices)

@@ -14,7 +14,7 @@ from ..exceptions import PartitioningError
 from ..graphs.csr import CSRGraph
 from .fm import fm_refine_bisection
 from .gggp import gggp_bisect
-from .options import SerialOptions
+from .options import FM_PASSES, GGGP_TRIALS, SerialOptions
 
 __all__ = ["recursive_bisection", "bisect_once"]
 
@@ -26,11 +26,11 @@ def bisect_once(
     rng: np.random.Generator,
 ) -> np.ndarray:
     """One GGGP + FM bisection; returns 0/1 labels (1 = grown region)."""
-    part = gggp_bisect(graph, fraction=fraction, trials=opts.gggp_trials, rng=rng)
+    part = gggp_bisect(graph, fraction=fraction, trials=GGGP_TRIALS, rng=rng)
     total = graph.total_vertex_weight
     t1 = int(round(total * fraction))
     res = fm_refine_bisection(
-        graph, part, (total - t1, t1), ubfactor=opts.ubfactor, max_passes=opts.fm_passes
+        graph, part, (total - t1, t1), ubfactor=opts.ubfactor, max_passes=FM_PASSES
     )
     return res.part
 

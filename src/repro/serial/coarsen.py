@@ -12,7 +12,7 @@ from ..runtime.machine import CpuSpec
 from ..runtime.trace import LevelRecord, Trace
 from .contraction import contract
 from .matching import sequential_match
-from .options import SerialOptions
+from .options import MIN_SHRINK, SerialOptions
 
 __all__ = ["CoarseningLevel", "coarsen_graph"]
 
@@ -84,6 +84,6 @@ def coarsen_graph(
         levels.append(CoarseningLevel(graph=current, cmap=cmap))
         current = coarse
         level_idx += 1
-        if shrink < opts.min_shrink:
+        if shrink < MIN_SHRINK:
             break
     return levels, current

@@ -1,61 +1,72 @@
-"""Control parameters of the serial multilevel partitioner.
+"""Control parameters of the Metis-style multilevel engines.
 
 Defaults follow Metis (Karypis & Kumar, SIAM JSC 20(1)) and the paper's
 experimental setup: 3 % imbalance tolerance, HEM matching, coarsening
-until the graph has ~max(COARSEN_FACTOR x k, COARSEN_MIN) vertices or
-shrinkage stalls.
+until the graph has ~max(COARSEN_TO_FACTOR x k, coarsen_min) vertices or
+shrinkage stalls.  The paper runs every engine at this one setting, so
+the rule's factor and stall threshold and the bisection's trial and
+pass counts are constants here, not options.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
+from ..engine import EngineOptions
 from ..exceptions import InvalidParameterError
 from .matching import check_scheme
 
-__all__ = ["SerialOptions"]
+__all__ = [
+    "COARSEN_TO_FACTOR",
+    "FM_PASSES",
+    "GGGP_TRIALS",
+    "MIN_SHRINK",
+    "MultilevelOptions",
+    "SerialOptions",
+]
+
+#: Stop coarsening when |V| <= COARSEN_TO_FACTOR * k (never below
+#: ``coarsen_min``).
+COARSEN_TO_FACTOR = 20
+#: Stop if a level shrinks the graph by less than this fraction (Metis's
+#: "difference ... less than a threshold value").  It must stay above 0:
+#: a level that matches nothing shrinks the graph by exactly 0.
+MIN_SHRINK = 0.05
+#: GGGP restarts per bisection; the best cut wins (Metis uses 4).
+GGGP_TRIALS = 4
+#: FM refinement passes per bisection.
+FM_PASSES = 4
 
 
 @dataclass(frozen=True)
-class SerialOptions:
-    """Knobs of :class:`repro.serial.SerialMetis`."""
+class MultilevelOptions(EngineOptions):
+    """The options of every engine that coarsens by Metis's rule."""
 
-    #: Balance tolerance: max part weight <= ubfactor x ideal (paper: 1.03).
-    ubfactor: float = 1.03
     #: Matching scheme: "hem" (heavy edge), "rm" (random), "lem" (light edge).
     matching: str = "hem"
-    #: Stop coarsening when |V| <= coarsen_to_factor * k ...
-    coarsen_to_factor: int = 20
-    #: ... but never below this floor.
+    #: Floor of the coarsening target.
     coarsen_min: int = 64
-    #: Stop if a level shrinks the graph by less than this fraction
-    #: (Metis's "difference ... less than a threshold value").
-    min_shrink: float = 0.05
-    #: GGGP restarts per bisection; the best cut wins (Metis uses 4).
-    gggp_trials: int = 4
-    #: FM refinement passes per bisection level.
-    fm_passes: int = 4
-    #: Greedy k-way refinement passes per uncoarsening level.
-    kway_passes: int = 4
-    #: RNG seed for matching order and GGGP seeds.
-    seed: int = 1
-    #: Optional fault plan (see :mod:`repro.faults`): a FaultPlan, a plan
-    #: dict, or a path to a plan JSON file.  ``None`` disables injection.
-    fault_plan: object = None
-    #: Respond to injected faults with retry/degradation (True) or let
-    #: them crash the run (False — the mutation ``repro selfcheck`` runs).
-    fault_recovery: bool = True
 
     def __post_init__(self) -> None:
-        if self.ubfactor < 1.0:
-            raise InvalidParameterError("ubfactor must be >= 1.0")
+        super().__post_init__()
         check_scheme(self.matching)
-        if self.coarsen_to_factor < 1 or self.coarsen_min < 2:
-            raise InvalidParameterError("coarsening thresholds out of range")
-        if not (0.0 <= self.min_shrink < 1.0):
-            raise InvalidParameterError("min_shrink must be in [0, 1)")
-        if min(self.gggp_trials, self.fm_passes, self.kway_passes) < 1:
-            raise InvalidParameterError("trial/pass counts must be >= 1")
+        if self.coarsen_min < 2:
+            raise InvalidParameterError("coarsen_min must be >= 2")
 
     def coarsen_target(self, k: int) -> int:
-        return max(self.coarsen_min, self.coarsen_to_factor * k)
+        """Size the initial partitioning runs at."""
+        return max(self.coarsen_min, COARSEN_TO_FACTOR * k)
+
+    def serial_options(self) -> SerialOptions:
+        """Options for serial sub-phases (bisections on the coarsest graph)."""
+        return SerialOptions(
+            ubfactor=self.ubfactor,
+            matching=self.matching,
+            coarsen_min=self.coarsen_min,
+            seed=self.seed,
+        )
+
+
+@dataclass(frozen=True)
+class SerialOptions(MultilevelOptions):
+    """Knobs of :class:`repro.serial.SerialMetis`."""

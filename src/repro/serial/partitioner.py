@@ -19,7 +19,7 @@ from ..runtime.trace import RefinementRecord, Trace
 from .bisection import recursive_bisection
 from .coarsen import coarsen_graph
 from .kway import kway_refine
-from .options import SerialOptions
+from .options import FM_PASSES, GGGP_TRIALS, SerialOptions
 from .project import project_partition
 
 __all__ = ["SerialMetis"]
@@ -53,7 +53,7 @@ class SerialMetis(Engine):
         # Recursive bisection cost: each of the log2(k) tree levels sweeps
         # the whole coarsest graph a constant number of times (GGGP trials
         # + FM passes).
-        sweeps = (opts.gggp_trials + opts.fm_passes) * max(1, int(np.ceil(np.log2(max(k, 2)))))
+        sweeps = (GGGP_TRIALS + FM_PASSES) * max(1, int(np.ceil(np.log2(max(k, 2)))))
         bisect_sec = self.machine.cpu.edge_seconds(
             sweeps * coarsest.num_directed_edges,
             avg_degree=2 * coarsest.num_edges / max(1, coarsest.num_vertices),
@@ -87,8 +87,7 @@ class SerialMetis(Engine):
                 hw.record_random_bytes(8.0 * level.graph.num_vertices)
             cut_before = edge_cut(level.graph, part)
             part, passes = kway_refine(
-                level.graph, part, k, ubfactor=opts.ubfactor,
-                max_passes=opts.kway_passes, rng=rng,
+                level.graph, part, k, ubfactor=opts.ubfactor, rng=rng
             )
             cut_after = edge_cut(level.graph, part)
             for pi, pres in enumerate(passes):

@@ -48,3 +48,15 @@ def weighted_graph() -> CSRGraph:
 @pytest.fixture
 def rng():
     return np.random.default_rng(42)
+
+
+@pytest.fixture(scope="session")
+def weighted_delaunay() -> CSRGraph:
+    """delaunay(3000) with random symmetric edge weights in 1-19, where
+    heavy-edge, light-edge and random matching all pick differently."""
+    g = generators.delaunay(3000, seed=1)
+    src = g.source_array()
+    keep = src < g.adjncy
+    edges = np.stack([src[keep], g.adjncy[keep]], axis=1)
+    weights = np.random.default_rng(1).integers(1, 20, edges.shape[0])
+    return from_edges(g.num_vertices, edges, weights)

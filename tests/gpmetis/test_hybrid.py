@@ -23,7 +23,6 @@ class TestOptions:
             {"merge_impl": "gpu"},
             {"gpu_threshold_min": 1},
             {"cpu_threads": 0},
-            {"max_gpu_threads": 8},
             {"ubfactor": 0.99},
         ],
     )

@@ -67,6 +67,19 @@ MULTILEVEL_METHODS = ["metis", "parmetis", "mt-metis", "gp-metis"]
 
 
 class TestCrossMethodConsistency:
+    @pytest.mark.parametrize(
+        "method",
+        ["metis", "parmetis", "mt-metis", "gp-metis", "pt-scotch", "jostle", "gmetis"],
+    )
+    def test_lem_is_not_rm(self, weighted_delaunay, method):
+        """Every engine with a matching option runs the scheme it names:
+        on weighted edges light-edge matching is not random matching."""
+        parts = {
+            scheme: partition(weighted_delaunay, 8, method=method, matching=scheme).part
+            for scheme in ("lem", "rm")
+        }
+        assert not np.array_equal(parts["lem"], parts["rm"])
+
     def test_same_quality_ballpark(self):
         g = generators.delaunay(2500, seed=4)
         cuts = {

@@ -19,7 +19,7 @@ class TestOptions:
 
     @pytest.mark.parametrize(
         "kwargs", [{"num_threads": 0}, {"ubfactor": 0.5}, {"matching": "zzz"},
-                   {"refine_passes": 0}, {"match_retry_rounds": -1}]
+                   {"refine_passes": 0}]
     )
     def test_invalid(self, kwargs):
         with pytest.raises(InvalidParameterError):

@@ -81,6 +81,12 @@ class TestDistributedMatching:
         _, s4 = distributed_match(dist, m4, num_passes=4, rng=np.random.default_rng(2))
         assert s4.pairs >= s1.pairs
 
+    @pytest.mark.parametrize("scheme", ["HEM", "heavy", ""])
+    def test_unknown_scheme_is_a_typed_error(self, medium_graph, mpi, scheme):
+        dist = DistGraph.distribute(medium_graph, 4)
+        with pytest.raises(InvalidParameterError, match="unknown matching scheme"):
+            distributed_match(dist, mpi, scheme=scheme)
+
 
 class TestDistributedCoarsening:
     def test_ladder_shrinks(self, medium_graph, mpi):
@@ -111,8 +117,6 @@ class TestDriver:
     def test_invalid_options(self):
         with pytest.raises(InvalidParameterError):
             ParMetisOptions(num_ranks=0)
-        with pytest.raises(InvalidParameterError):
-            ParMetisOptions(match_passes=0)
 
     def test_extras_report_communication(self, medium_graph):
         res = ParMetis().partition(medium_graph, 8)

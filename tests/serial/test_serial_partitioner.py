@@ -22,8 +22,6 @@ class TestOptions:
             {"ubfactor": 0.9},
             {"matching": "xyz"},
             {"coarsen_min": 1},
-            {"min_shrink": 1.5},
-            {"gggp_trials": 0},
         ],
     )
     def test_invalid_options(self, kwargs):
@@ -31,7 +29,7 @@ class TestOptions:
             SerialOptions(**kwargs)
 
     def test_coarsen_target(self):
-        assert SerialOptions(coarsen_to_factor=20, coarsen_min=64).coarsen_target(64) == 1280
+        assert SerialOptions().coarsen_target(64) == 1280
         assert SerialOptions().coarsen_target(1) == 64
 
 

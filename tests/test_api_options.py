@@ -3,20 +3,67 @@
 from __future__ import annotations
 
 import dataclasses
+import re
 
 import pytest
 
+import repro
 import repro.api as api
 from repro.api import (
     PARTITIONERS,
     available_methods,
+    make_partitioner,
     resolve_method,
     resolve_options,
 )
+from repro.engine import EngineOptions
 from repro.exceptions import InvalidParameterError
+from repro.serial.options import MultilevelOptions
+from repro.service import PartitionRequest, PartitionService
 
-#: Every engine's options dataclass carries this cross-engine core.
-COMMON_FIELDS = {"ubfactor", "seed", "fault_plan", "fault_recovery"}
+#: The fields of the one options base, in declaration order.
+ENGINE_FIELDS = ("ubfactor", "seed", "fault_plan", "fault_recovery")
+#: What the Metis-target engines add to it.
+MULTILEVEL_FIELDS = ENGINE_FIELDS + ("matching", "coarsen_min")
+
+#: The whole options surface: each method's fields, base fields first.
+OPTION_FIELDS = {
+    "metis": MULTILEVEL_FIELDS,
+    "parmetis": MULTILEVEL_FIELDS + ("num_ranks", "refine_passes"),
+    "mt-metis": MULTILEVEL_FIELDS + ("num_threads", "refine_passes"),
+    "gp-metis": MULTILEVEL_FIELDS + (
+        "merge_strategy", "merge_impl", "gpu_threshold_factor",
+        "gpu_threshold_min", "cpu_threads", "refine_passes", "sanitize",
+        "fuzz_schedules", "async_streams",
+    ),
+    "pt-scotch": MULTILEVEL_FIELDS + ("num_ranks", "fold_threshold", "refine_passes"),
+    "jostle": ENGINE_FIELDS + ("num_ranks", "matching", "broadcast_threshold"),
+    "gmetis": MULTILEVEL_FIELDS + ("num_threads", "refine_passes"),
+    "spectral": ENGINE_FIELDS,
+    "random": ENGINE_FIELDS,
+    "block": ENGINE_FIELDS,
+}
+
+#: Knobs that no caller set to a valid non-default value; their values
+#: are constants now, and passing one is an unknown option.
+REMOVED_FIELDS = [
+    *[(m, name)
+      for m in ("metis", "parmetis", "mt-metis", "gp-metis", "pt-scotch",
+                "jostle", "gmetis")
+      for name in ("min_shrink", "coarsen_to_factor")],
+    ("metis", "gggp_trials"),
+    ("metis", "fm_passes"),
+    ("metis", "kway_passes"),
+    ("mt-metis", "match_retry_rounds"),
+    ("parmetis", "match_passes"),
+    ("gp-metis", "max_gpu_threads"),
+    ("pt-scotch", "match_rounds"),
+    ("pt-scotch", "request_probability"),
+    ("pt-scotch", "band_distance"),
+    ("jostle", "refine_sweeps"),
+    ("jostle", "fm_passes"),
+    ("spectral", "lanczos_iterations"),
+]
 
 
 class TestRegistry:
@@ -26,10 +73,40 @@ class TestRegistry:
             assert hasattr(cls, "partition"), key
 
     def test_common_option_fields_everywhere(self):
+        # One base carries the fields Engine.partition reads.
+        base = tuple(f.name for f in dataclasses.fields(EngineOptions))
+        assert base == ENGINE_FIELDS
         for key, (_, opts_cls) in PARTITIONERS.items():
-            fields = set(opts_cls.__dataclass_fields__)
-            missing = COMMON_FIELDS - fields
-            assert not missing, f"{key} options missing {sorted(missing)}"
+            assert issubclass(opts_cls, EngineOptions), key
+
+    def test_metis_target_engines_share_the_multilevel_base(self):
+        multilevel = {key for key, (_, opts_cls) in PARTITIONERS.items()
+                      if issubclass(opts_cls, MultilevelOptions)}
+        assert multilevel == {"metis", "parmetis", "mt-metis", "gp-metis",
+                              "pt-scotch", "gmetis"}
+
+    @pytest.mark.parametrize("method", list(OPTION_FIELDS))
+    def test_field_set_pinned(self, method):
+        fields = tuple(f.name for f in dataclasses.fields(PARTITIONERS[method][1]))
+        assert fields == OPTION_FIELDS[method]
+
+    def test_option_field_count(self):
+        assert set(OPTION_FIELDS) == set(PARTITIONERS)
+        assert sum(len(dataclasses.fields(opts_cls))
+                   for _, opts_cls in PARTITIONERS.values()) == 73
+
+    @pytest.mark.parametrize(("method", "name"), REMOVED_FIELDS)
+    def test_removed_field_is_an_unknown_option(self, grid, method, name):
+        assert name not in PARTITIONERS[method][1].__dataclass_fields__
+        valid = re.escape("valid options: " + ", ".join(OPTION_FIELDS[method])) + "$"
+        options = {name: 2}  # any value: the name itself is unknown
+        with pytest.raises(InvalidParameterError, match=valid):
+            repro.partition(grid, 4, method=method, **options)
+        with pytest.raises(InvalidParameterError, match=valid):
+            make_partitioner(method, **options)
+        request = PartitionRequest(grid, 4, method=method, options=options)
+        with pytest.raises(InvalidParameterError, match=valid):
+            PartitionService(num_workers=1).submit(request)
 
     def test_common_defaults_are_uniform(self):
         for key in available_methods():

@@ -15,7 +15,7 @@ from repro.exceptions import (
     PartitioningError,
     ReproError,
 )
-from repro.graphs import from_edges, generators
+from repro.graphs import from_edges, generators, validate_partition
 
 
 class TestTaxonomy:
@@ -76,6 +76,18 @@ class TestDegenerateInputs:
         res = partition(g, 4, method=method)
         counts = np.bincount(res.part, minlength=4)
         assert counts.max() <= 6  # roughly balanced isolated vertices
+
+    @pytest.mark.parametrize(
+        "method",
+        ["metis", "parmetis", "mt-metis", "gp-metis", "pt-scotch", "jostle", "gmetis"],
+    )
+    def test_no_edges_above_coarsening_target(self, method):
+        """A level that matches nothing shrinks the graph by exactly 0, so
+        the shrink-stall exit must end coarsening after that one level."""
+        g = from_edges(3000, [])
+        res = partition(g, 4, method=method)
+        validate_partition(g, res.part, 4, ubfactor=1.03)
+        assert [lv.matched_pairs for lv in res.trace.levels] == [0]
 
     def test_k_equals_n(self):
         g = generators.cycle_graph(12)

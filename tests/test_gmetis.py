@@ -80,6 +80,22 @@ class TestSpeculativeExecutor:
 
 
 class TestGmetisDriver:
+    def test_matching_scheme_ranks_edge_weights(self, weighted_delaunay, clock):
+        """LEM matches along the lightest free edge, HEM the heaviest, RM
+        a random one: their matched weights order lem < rm < hem."""
+        g = weighted_delaunay
+        src = g.source_array()
+        mean = {}
+        for scheme in ("lem", "rm", "hem"):
+            engine = Gmetis(GmetisOptions(matching=scheme))
+            match, _ = engine._speculative_match(
+                g, SpeculativeExecutor(8, CpuSpec(), clock),
+                np.random.default_rng(0), detail="match",
+            )
+            matched = (src < g.adjncy) & (match[src] == g.adjncy)
+            mean[scheme] = g.adjwgt[matched].mean()
+        assert mean["lem"] < mean["rm"] < mean["hem"]
+
     def test_valid_balanced(self):
         g = delaunay(2000, seed=14)
         res = Gmetis().partition(g, 8)

@@ -102,8 +102,6 @@ class TestDriver:
     def test_invalid_options(self):
         with pytest.raises(InvalidParameterError):
             JostleOptions(num_ranks=0)
-        with pytest.raises(InvalidParameterError):
-            JostleOptions(coarsen_to_factor=0)
 
     def test_quality_comparable_to_metis(self):
         from repro.serial import SerialMetis

@@ -56,6 +56,30 @@ class TestMonteCarloMatching:
         # ~half the vertices flip tails in round one.
         assert 0.3 < stats.coin_idle / medium_graph.num_vertices < 0.7
 
+    def test_lem_requests_lightest_valid_neighbor(self, weighted_delaunay, mpi):
+        """LEM ranks by the negated weight as HEM ranks by the weight: a
+        granted requester asked its first valid neighbor of minimal
+        weight, in CSR order (valid: not requesting this round)."""
+        g = weighted_delaunay
+        dist = DistGraph.distribute(g, 4)
+        match, stats = montecarlo_match(
+            dist, mpi, scheme="lem", max_rounds=1, rng=np.random.default_rng(5)
+        )
+        # Round one's coin flips are the generator's first n draws.
+        heads = np.random.default_rng(5).random(g.num_vertices) < 0.5
+        granted = np.flatnonzero(heads & (match != np.arange(g.num_vertices)))
+        assert granted.size == stats.pairs > 0
+        for v in granted:
+            nbrs, w = g.neighbors(v), g.edge_weights(v)
+            valid = ~heads[nbrs]
+            assert match[v] == nbrs[valid][np.argmin(w[valid])]
+
+    @pytest.mark.parametrize("scheme", ["HEM", "heavy", ""])
+    def test_unknown_scheme_is_a_typed_error(self, medium_graph, mpi, scheme):
+        dist = DistGraph.distribute(medium_graph, 4)
+        with pytest.raises(InvalidParameterError, match="unknown matching scheme"):
+            montecarlo_match(dist, mpi, scheme=scheme)
+
     def test_probability_extremes(self, medium_graph):
         """Why PT-Scotch flips coins at 0.5: with p = 1 every vertex
         requests, nobody is left to grant, and the round matches NOTHING
@@ -152,10 +176,6 @@ class TestDriver:
         assert any("fold" in n for n in res.trace.notes)
 
     def test_invalid_options(self):
-        with pytest.raises(InvalidParameterError):
-            PTScotchOptions(request_probability=0.0)
-        with pytest.raises(InvalidParameterError):
-            PTScotchOptions(band_distance=-1)
         with pytest.raises(InvalidParameterError):
             PTScotchOptions(num_ranks=0)
 
