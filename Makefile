@@ -40,8 +40,10 @@ faults:
 	$(PYTHON) -m pytest -q -m faults
 
 # Slow end-to-end benchmark tests (bench-marked, not part of tier-1; CI
-# runs them): the paper's Sec. IV claims on seeds 1-3 and the gate
-# workload's determinism.
+# runs them): the paper's Sec. IV claims on seeds 1-3, the gate
+# workload's determinism, and the 180-run proof sweep against
+# benchmarks/proof_sweep.json (regenerate it with
+# `python benchmarks/proof_sweep.py` when partitions move on purpose).
 bench:
 	$(PYTHON) -m pytest -q -m bench
 

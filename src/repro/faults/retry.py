@@ -16,6 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..exceptions import ReproError
+from ..runtime.clock import HostTimeline
 
 __all__ = ["RetryPolicy", "with_retry"]
 
@@ -40,22 +41,28 @@ def with_retry(
     policy: RetryPolicy | None = None,
     retryable: tuple[type[BaseException], ...] = (ReproError,),
     detail: str = "",
+    stream=None,
 ):
     """Run ``fn`` retrying injected transient faults under ``policy``.
 
     Retries happen only while the clock carries an injector whose
     recovery switch is on; without one, the first exception propagates
     untouched (the fault-free fast path adds no try/except overhead
-    beyond this wrapper).  Backoff is charged to the clock under the
-    ``sync`` category and every retry is recorded as a recovery event.
+    beyond this wrapper).  The failed attempts and the backoff land on
+    ``stream``, the timeline the work runs on (a
+    :class:`~repro.gpusim.streams.Stream` burns its own track, so the
+    host is not blocked); without one, on the clock's host cursor.
+    Backoff is charged under the ``sync`` category and every retry is
+    recorded as a recovery event.
     """
     injector = getattr(clock, "injector", None)
     if injector is None:
         return fn()
     policy = policy or RetryPolicy()
+    on = HostTimeline(clock) if stream is None else stream
     attempt = 0
     while True:
-        t0 = clock.total_seconds
+        t0 = on.cursor
         try:
             return fn()
         except retryable as exc:
@@ -67,27 +74,22 @@ def with_retry(
             # The failed attempt's own charges (e.g. the PCIe latency a
             # failed copy burned) are retry cost, not useful transfer
             # time: cover them with a retry-category span so latency
-            # attribution can move them into the ``retry`` bucket.
-            prof = getattr(clock, "profiler", None)
-            if prof is not None and clock.total_seconds > t0:
-                prof.add_span(
-                    f"retry {site} attempt", t0, clock.total_seconds,
-                    category="retry", attempt=attempt,
+            # attribution can move them into the ``retry`` bucket.  The
+            # backoff gets its own span, so retries show up in the run's
+            # trace (and in request critical paths).
+            if on.cursor > t0:
+                on.span(
+                    f"retry {site} attempt", t0, on.cursor, "retry",
+                    attempt=attempt, max_retries=policy.max_retries,
                 )
-            # The backoff charge as a span, so retries show up in the
-            # run's trace (and in request critical paths) with the same
-            # trace context as the work being retried.
-            from ..obs.spans import clock_span
-
-            with clock_span(
-                clock, f"retry {site}", category="retry",
+            start, end = on.charge(
+                "sync", policy.backoff(attempt), count=1.0,
+                detail=f"retry backoff {site}" + (f" {detail}" if detail else ""),
+            )
+            on.span(
+                f"retry {site}", start, end, "retry",
                 attempt=attempt, max_retries=policy.max_retries,
-            ):
-                clock.charge(
-                    "sync", policy.backoff(attempt), count=1.0,
-                    detail=f"retry backoff {site}"
-                    + (f" {detail}" if detail else ""),
-                )
+            )
             injector.record_recovery(
                 site, "retry",
                 f"attempt {attempt}/{policy.max_retries}: {exc}",

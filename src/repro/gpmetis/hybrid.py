@@ -54,8 +54,17 @@ from ..graphs.metrics import edge_cut
 from ..gpusim.device import Device
 from ..gpusim.memory import DeviceArray
 from ..gpusim.simt import threads_for_items
-from ..gpusim.streams import d2h_async, h2d_async
-from ..gpusim.transfer import d2h, h2d, transfer_graph_to_device
+# The serial schedule calls h2d_async/d2h_async on the host stream, so
+# ``h2d`` and ``transfer_graph_to_device`` are not called here; all five
+# copy names stay bound in this module because perfbench's tracer times
+# the transfer layer by patching them where this module looks them up.
+from ..gpusim.transfer import (  # noqa: F401
+    d2h,
+    d2h_async,
+    h2d,
+    h2d_async,
+    transfer_graph_to_device,
+)
 from ..mtmetis.initpart import parallel_recursive_bisection
 from ..mtmetis.partitioner import MtMetis
 from ..obs.spans import clock_span
@@ -125,19 +134,23 @@ def run_hybrid(
     pool = ThreadPoolSim(opts.cpu_threads, machine.cpu, clock)
     injector = getattr(clock, "injector", None)
 
-    def unrecoverable(exc: Exception) -> bool:
-        """Injected faults propagate when the recovery switch is off;
-        real resource exhaustion is always handled."""
-        return (
-            injector is not None
-            and not injector.recover
-            and getattr(exc, "injected", False)
-        )
+    def degrade(exc: Exception, note: str, site: str, action: str, detail: str):
+        """Take one rung of the ladder: note it in the trace and record the
+        recovery.  Injected faults propagate instead when the recovery
+        switch is off; real resource exhaustion is always handled."""
+        injected = getattr(exc, "injected", False)
+        if injected and injector is not None and not injector.recover:
+            raise exc
+        trace.note(note)
+        if injector is not None:
+            injector.record_recovery(site, action, detail)
 
     # ------------------------------------------------------------------
     # 0. Schedule selection: double-buffered async streams, unless the
     #    staging residency would blow the device budget (then single-
-    #    buffer — the old serial transfer schedule — not OOM-evacuate).
+    #    buffer — the serial schedule — not OOM-evacuate).  The serial
+    #    schedule is the same code with both streams on the device's
+    #    blocking host stream.
     # ------------------------------------------------------------------
     use_async = opts.async_streams
     if use_async:
@@ -150,50 +163,45 @@ def run_hybrid(
                 f"exceeds device memory ({plan.device_bytes} B); "
                 "falling back to the single-buffer serial schedule"
             )
-    copy_s = dev.stream("copy") if use_async else None
-    compute_s = dev.stream("compute") if use_async else None
     if use_async:
-        # CUDA default-stream idiom: every kernel launched below lands on
-        # the compute stream without threading a parameter through the
-        # kernel helpers.
-        dev.default_stream = compute_s
+        copy_s, compute_s = dev.stream("copy"), dev.stream("compute")
+    else:
+        copy_s = compute_s = dev.host
+    # CUDA default-stream idiom: every kernel launched below lands on the
+    # compute stream without threading a parameter through the kernel
+    # helpers.
+    dev.default_stream = compute_s
 
     # ------------------------------------------------------------------
     # 1. Host -> device.
     # ------------------------------------------------------------------
     clock.set_phase("transfer")
-    ev_vwgt = None
     try:
-        if use_async:
-            # Upload on the copy stream.  Matching only needs the three
-            # structure arrays; vwgt's first consumer is the contraction,
-            # so its copy stays in flight behind the level-0 match/cmap
-            # kernels — the upload half of the double buffer.
-            d_csr = {}
-            events = {}
-            for name, arr in (
-                ("adjp", graph.adjp), ("adjncy", graph.adjncy),
-                ("adjwgt", graph.adjwgt), ("vwgt", graph.vwgt),
-            ):
-                d_csr[name], events[name] = h2d_async(
-                    copy_s, arr, machine.interconnect, label=f"csr.{name}"
-                )
-            for name in ("adjp", "adjncy", "adjwgt"):
-                compute_s.wait(events[name])
-            ev_vwgt = events["vwgt"]
-        else:
-            d_csr = transfer_graph_to_device(dev, graph, machine.interconnect)
-    except RECOVERABLE as exc:
-        if unrecoverable(exc):
-            raise
-        # Any copies that did land before the failure stop mattering; fold
-        # their in-flight time into the wall clock before the CPU takes over.
-        clock.sync_tracks()
-        trace.note(f"input transfer failed ({exc}); falling back to mt-metis")
-        if injector is not None:
-            injector.record_recovery(
-                "transfer.h2d", "cpu-fallback", f"input transfer failed: {exc}"
+        # Upload on the copy stream.  Matching only needs the three
+        # structure arrays; vwgt's first consumer is the contraction, so
+        # its copy stays in flight behind the level-0 match/cmap kernels —
+        # the upload half of the double buffer.
+        d_csr = {}
+        events = {}
+        for name, arr in (
+            ("adjp", graph.adjp), ("adjncy", graph.adjncy),
+            ("adjwgt", graph.adjwgt), ("vwgt", graph.vwgt),
+        ):
+            d_csr[name], events[name] = h2d_async(
+                copy_s, arr, machine.interconnect, label=f"csr.{name}"
             )
+        for name in ("adjp", "adjncy", "adjwgt"):
+            compute_s.wait(events[name])
+        ev_vwgt = events["vwgt"]
+    except RECOVERABLE as exc:
+        # Any copies that did land before the failure stop mattering; fold
+        # their in-flight time into the wall clock before the CPU takes
+        # over (and before the recovery event reads the host cursor).
+        clock.sync_tracks()
+        degrade(
+            exc, f"input transfer failed ({exc}); falling back to mt-metis",
+            "transfer.h2d", "cpu-fallback", f"input transfer failed: {exc}",
+        )
         # The fallback engine runs with its own clock and profiler; have
         # it adopt this run's trace context so its span tree joins the
         # same trace (and, under the service, the same request).
@@ -236,13 +244,10 @@ def run_hybrid(
                     copy_s, darr, machine.interconnect, label=f"coarse.{name}"
                 )
             except TransferError as exc:
-                if unrecoverable(exc):
-                    raise
-                trace.note(f"coarse.{name} D2H failed ({exc}); using host mirror")
-                if injector is not None:
-                    injector.record_recovery(
-                        "transfer.d2h", "evacuate", f"coarse.{name}: host mirror"
-                    )
+                degrade(
+                    exc, f"coarse.{name} D2H failed ({exc}); using host mirror",
+                    "transfer.d2h", "evacuate", f"coarse.{name}: host mirror",
+                )
             downloaded.add(name)
 
         return copy_out
@@ -260,42 +265,32 @@ def run_hybrid(
                     rng, fuse_resolve=use_async,
                 )
                 d_cmap, n_coarse = gpu_build_cmap(dev, d_match, n_threads)
-                copy_out = None
-                if use_async:
-                    # The contraction is vwgt's first consumer: release the
-                    # compute stream only once the in-flight upload landed.
-                    if ev_vwgt is not None:
-                        compute_s.wait(ev_vwgt)
-                        ev_vwgt = None
-                    # The loop-exit test is decidable before contracting, so
-                    # the last level's coarse mirror downloads while its own
-                    # contraction kernels still run.
-                    will_stop = (
-                        n_coarse <= stop_at
-                        or (1.0 - n_coarse / nv) < MIN_SHRINK
-                    )
-                    if will_stop:
-                        copy_out = make_copy_out()
+                # The contraction is vwgt's first consumer: release the
+                # compute stream only once the in-flight upload landed.
+                if ev_vwgt is not None:
+                    compute_s.wait(ev_vwgt)
+                    ev_vwgt = None
+                # The loop-exit test is decidable before contracting, so on
+                # the async schedule the last level's coarse mirror
+                # downloads while its own contraction kernels still run.
+                will_stop = (
+                    n_coarse <= stop_at or (1.0 - n_coarse / nv) < MIN_SHRINK
+                )
+                copy_out = make_copy_out() if use_async and will_stop else None
                 outcome = gpu_contract(
                     dev, current.d_csr, current.graph, d_match, d_cmap, n_coarse,
                     n_threads, opts.merge_strategy, opts.merge_impl,
                     copy_out=copy_out,
                 )
-                if use_async:
-                    # The host paces the compute stream level by level (it
-                    # polls for the shrink factor); the copy stream floats.
-                    compute_s.synchronize()
+                # The host paces the compute stream level by level (it
+                # polls for the shrink factor); the copy stream floats.
+                compute_s.synchronize()
         except RECOVERABLE as exc:
-            if unrecoverable(exc):
-                raise
-            trace.note(
-                f"GPU fault at level {level_idx} ({exc}); continuing on CPU"
+            degrade(
+                exc, f"GPU fault at level {level_idx} ({exc}); continuing on CPU",
+                getattr(exc, "site", "gpu.alloc"), "gpu-shrink",
+                f"GPU coarsening stopped at level {level_idx}: {exc}",
             )
-            if injector is not None:
-                injector.record_recovery(
-                    getattr(exc, "site", "gpu.alloc"), "gpu-shrink",
-                    f"GPU coarsening stopped at level {level_idx}: {exc}",
-                )
             fell_back = True
             break
         d_match.free()
@@ -327,22 +322,19 @@ def run_hybrid(
     # ------------------------------------------------------------------
     clock.set_phase("transfer")
     for name in ("adjp", "adjncy", "adjwgt", "vwgt"):
-        if use_async and not fell_back and name in downloaded:
+        if not fell_back and name in downloaded:
             # Already shipped by the copy stream, hidden behind the final
             # contraction (set_phase synchronized the streams above).
             continue
         try:
             d2h(current.d_csr[name], machine.interconnect, label=f"coarse.{name}")
         except TransferError as exc:
-            if unrecoverable(exc):
-                raise
             # The CPU stage owns a host mirror of every array, so a dead
             # D2H link costs only the failed attempts' time.
-            trace.note(f"coarse.{name} D2H failed ({exc}); using host mirror")
-            if injector is not None:
-                injector.record_recovery(
-                    "transfer.d2h", "evacuate", f"coarse.{name}: host mirror"
-                )
+            degrade(
+                exc, f"coarse.{name} D2H failed ({exc}); using host mirror",
+                "transfer.d2h", "evacuate", f"coarse.{name}: host mirror",
+            )
 
     clock.set_phase("coarsening-cpu")
     cpu_levels, coarsest = mt.coarsen(
@@ -375,28 +367,19 @@ def run_hybrid(
     if gpu_levels and not fell_back:
         clock.set_phase("transfer")
         try:
-            if use_async:
-                # Prefetch: the partition vector rides the copy stream and
-                # the first projection kernel waits on its event instead of
-                # the host blocking on the copy.
-                d_part, ev_part = h2d_async(
-                    copy_s, part.astype(np.int64), machine.interconnect,
-                    label="part",
-                )
-                compute_s.wait(ev_part)
-            else:
-                d_part = h2d(
-                    dev, part.astype(np.int64), machine.interconnect, label="part"
-                )
+            # Prefetch: the partition vector rides the copy stream and the
+            # first projection kernel waits on its event instead of the
+            # host blocking on the copy.
+            d_part, ev_part = h2d_async(
+                copy_s, part.astype(np.int64), machine.interconnect, label="part"
+            )
+            compute_s.wait(ev_part)
         except RECOVERABLE as exc:
-            if unrecoverable(exc):
-                raise
-            trace.note(f"part upload failed ({exc}); projecting on the host")
-            if injector is not None:
-                injector.record_recovery(
-                    getattr(exc, "site", "transfer.h2d"), "skip-gpu-refine",
-                    f"part upload failed: {exc}",
-                )
+            degrade(
+                exc, f"part upload failed ({exc}); projecting on the host",
+                getattr(exc, "site", "transfer.h2d"), "skip-gpu-refine",
+                f"part upload failed: {exc}",
+            )
             clock.set_phase("uncoarsening-cpu")
             part = _host_uncoarsen(
                 part, gpu_levels, len(gpu_levels) - 1, clock, machine
@@ -429,25 +412,20 @@ def run_hybrid(
                             opts.ubfactor, opts.refine_passes, n_threads,
                         )
                         cut_after = edge_cut(level.graph, d_part.data)
-                        if use_async:
-                            # Host reads the cut between levels: pace the
-                            # compute stream here too.
-                            compute_s.synchronize()
+                        # Host reads the cut between levels: pace the
+                        # compute stream here too.
+                        compute_s.synchronize()
                 except RECOVERABLE as exc:
-                    if unrecoverable(exc):
-                        raise
                     # d_part is valid either for this level (projection
                     # committed before the fault) or the coarser one;
                     # finish the remaining projections on the host.
-                    trace.note(
+                    degrade(
+                        exc,
                         f"GPU uncoarsening fault at level {li} ({exc}); "
-                        "projecting remaining levels on the host"
+                        "projecting remaining levels on the host",
+                        getattr(exc, "site", "gpu.alloc"), "skip-gpu-refine",
+                        f"GPU uncoarsening abandoned at level {li}: {exc}",
                     )
-                    if injector is not None:
-                        injector.record_recovery(
-                            getattr(exc, "site", "gpu.alloc"), "skip-gpu-refine",
-                            f"GPU uncoarsening abandoned at level {li}: {exc}",
-                        )
                     part = np.asarray(d_part.data).copy()
                     d_part.free()
                     clock.set_phase("uncoarsening-cpu")
@@ -470,26 +448,19 @@ def run_hybrid(
             if not abandoned:
                 clock.set_phase("transfer")
                 try:
-                    if use_async:
-                        copy_s.wait(compute_s.record())
-                        part, ev_final = d2h_async(
-                            copy_s, d_part, machine.interconnect,
-                            label="part.final",
-                        )
-                        ev_final.synchronize()
-                    else:
-                        part = d2h(d_part, machine.interconnect, label="part.final")
+                    copy_s.wait(compute_s.record())
+                    part, ev_final = d2h_async(
+                        copy_s, d_part, machine.interconnect, label="part.final"
+                    )
+                    ev_final.synchronize()
                 except TransferError as exc:
-                    if unrecoverable(exc):
-                        raise
+                    degrade(
+                        exc, f"part.final D2H failed ({exc}); evacuated",
+                        "transfer.d2h", "evacuate", "part.final read out in place",
+                    )
                     # Zero-copy rescue of the final labels: no quality
                     # impact, only the failed attempts' time was spent.
                     part = np.asarray(d_part.data).copy()
-                    trace.note(f"part.final D2H failed ({exc}); evacuated")
-                    if injector is not None:
-                        injector.record_recovery(
-                            "transfer.d2h", "evacuate", "part.final read out in place"
-                        )
     elif gpu_levels:
         # The gpu-shrink rung's tail: the CPU finished from the truncation
         # level, so the levels the GPU did complete still map the partition

@@ -30,6 +30,7 @@ from ..runtime.machine import GpuSpec
 from .memory import DeviceArray, stream_transactions, warp_transactions
 from .simt import warp_divergent_ops
 from .stats import DeviceStats
+from .streams import HostStream, Stream
 
 __all__ = ["Device", "KernelContext"]
 
@@ -45,17 +46,21 @@ class Device:
     #: Opt-in data-race sanitizer (see :mod:`repro.gpusim.sanitizer`).
     #: ``None`` disables all access recording — the default fast path.
     sanitizer: object | None = None
-    #: When set (a :class:`~repro.gpusim.streams.Stream`), kernels
-    #: launched without an explicit ``stream=`` argument enqueue on it —
-    #: the CUDA default-stream idiom, so engine code can route every
-    #: kernel of a region onto a compute stream without threading a
-    #: parameter through each kernel helper.
-    default_stream: object | None = None
+    #: The blocking host stream (CUDA's legacy default stream): copies
+    #: and launches on it charge the host cursor.
+    host: HostStream = field(init=False, repr=False, compare=False)
+    #: Where kernels launched without an explicit ``stream=`` argument
+    #: enqueue: the host stream, unless engine code routes every kernel
+    #: of a region onto a compute stream (the CUDA default-stream idiom)
+    #: without threading a parameter through each kernel helper.
+    default_stream: Stream | HostStream = field(init=False, repr=False, compare=False)
 
-    def stream(self, name: str):
+    def __post_init__(self) -> None:
+        self.host = HostStream(self)
+        self.default_stream = self.host
+
+    def stream(self, name: str) -> Stream:
         """Create a named asynchronous stream on this device."""
-        from .streams import Stream
-
         return Stream(self, name)
 
     def enable_sanitizer(self, fuzz_schedules: int = 3, seed: int = 0, **kwargs):
@@ -134,9 +139,8 @@ class KernelContext:
         self.device = device
         self.name = name
         self.n_threads = n_threads
-        #: The stream this launch enqueues on: the explicit argument, the
-        #: device's default stream, or ``None`` for the legacy synchronous
-        #: timeline (charges land on the host cursor).
+        #: The stream this launch enqueues on: the explicit argument or
+        #: the device's default stream (the host stream unless rerouted).
         self.stream = stream if stream is not None else device.default_stream
         self._transactions = 0.0
         #: Transactions beyond the perfectly-coalesced minimum: these are
@@ -331,20 +335,9 @@ class KernelContext:
     def _commit(self) -> None:
         spec = self.device.spec
         stream = self.stream
-        clock = self.device.clock
-        if stream is None:
-            t_start = clock.total_seconds
-            charge = clock.charge
-        else:
-            # Async launch: the kernel occupies the stream's track from its
-            # enqueue point; the host cursor does not advance.
-            t_start = stream.cursor
-
-            def charge(category, seconds, count=0.0, detail=""):
-                clock.charge_at(
-                    stream.track, category, seconds, count=count, detail=detail
-                )
-
+        # The launch occupies its stream from the enqueue point: the host
+        # cursor on the host stream, a track on an asynchronous one.
+        t_start = stream.cursor
         streamed = (
             self._transactions - self._random_transactions - self._cached_transactions
         )
@@ -362,16 +355,14 @@ class KernelContext:
         body = max(mem_t, cmp_t) + atomic_t
         total = spec.kernel_launch_seconds + body
 
-        charge("launch", spec.kernel_launch_seconds, count=1.0, detail=self.name)
+        stream.charge("launch", spec.kernel_launch_seconds, count=1.0, detail=self.name)
         if body > 0:
             if mem_t >= cmp_t:
-                charge("memory", mem_t, count=self._transactions, detail=self.name)
-                if atomic_t:
-                    charge("atomic", atomic_t, count=self._atomic_ops, detail=self.name)
+                stream.charge("memory", mem_t, count=self._transactions, detail=self.name)
             else:
-                charge("compute", cmp_t, count=self._compute_ops, detail=self.name)
-                if atomic_t:
-                    charge("atomic", atomic_t, count=self._atomic_ops, detail=self.name)
+                stream.charge("compute", cmp_t, count=self._compute_ops, detail=self.name)
+            if atomic_t:
+                stream.charge("atomic", atomic_t, count=self._atomic_ops, detail=self.name)
 
         if self._san is not None:
             self._san.analyze_launch(self.name, self.n_threads, self._accesses)
@@ -402,19 +393,17 @@ class KernelContext:
         else:
             launch_bound = "compute"
 
-        profiler = getattr(clock, "profiler", None)
-        if profiler is not None:
+        if self.device.clock.profiler is not None:
             moved = self._transactions * spec.transaction_bytes
             coalescing = (
                 min(1.0, self._bytes_requested / moved) if moved
                 else (1.0 if self._bytes_requested <= 0.0 else 0.0)
             )
-            extra = {} if stream is None else {"stream": stream.name}
-            profiler.add_span(
+            stream.span(
                 self.name,
                 t_start,
-                clock.total_seconds if stream is None else stream.cursor,
-                category="kernel",
+                stream.cursor,
+                "kernel",
                 threads=self.n_threads,
                 transactions=self._transactions,
                 bytes_requested=self._bytes_requested,
@@ -422,5 +411,4 @@ class KernelContext:
                 compute_ops=self._compute_ops,
                 atomic_ops=self._atomic_ops,
                 bound=launch_bound,
-                **extra,
             )

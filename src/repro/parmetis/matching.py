@@ -8,9 +8,10 @@ maximal set is reached. ... each processor sends its match requests in
 one single message to the corresponding processors."
 
 The direction filter breaks request symmetry; a target grants its best
-incoming request (heaviest edge, lowest requester id on ties) — but only
-if it did not itself send a request this pass, so grants never collide
-with the grantee's own match.  The protocol is conflict-free by
+incoming request, keyed the way the requests were made (the heaviest
+edge under HEM and RM, the lightest under LEM; the lowest requester id
+on ties) — but only if it did not itself send a request this pass, so
+grants never collide with the grantee's own match.  The protocol is conflict-free by
 construction, which is why ParMetis needs no resolution kernel but pays a
 synchronisation per pass.
 """
@@ -27,7 +28,7 @@ from ..runtime.mpi import MpiSim
 from ..serial.matching import check_scheme
 from .distgraph import DistGraph
 
-__all__ = ["DistMatchStats", "distributed_match"]
+__all__ = ["DistMatchStats", "distributed_match", "grant_requests"]
 
 
 @dataclass
@@ -65,6 +66,25 @@ def _candidates_with_weights(
     cand[ok] = nbrs[win[ok]]
     wgt[ok] = graph.adjwgt[flat[win[ok]]]
     return cand, wgt
+
+
+def grant_requests(
+    match: np.ndarray, v: np.ndarray, u: np.ndarray, w: np.ndarray, scheme: str
+) -> int:
+    """Each target ``u`` grants one incoming request ``v -> u`` (edge
+    weight ``w``) and the pair joins ``match``; returns the pairs made.
+
+    The grant is keyed as the requests were: the lightest request wins
+    under LEM, the heaviest under HEM and RM; ties go to the lowest
+    requester id.  ParMetis and PT-Scotch share this step.
+    """
+    order = np.lexsort((v, w if scheme == "lem" else -w, u))
+    u_s, v_s = u[order], v[order]
+    first = np.concatenate([[True], u_s[1:] != u_s[:-1]])
+    gu, gv = u_s[first], v_s[first]
+    match[gu] = gv
+    match[gv] = gu
+    return int(gu.shape[0])
 
 
 def distributed_match(
@@ -123,14 +143,7 @@ def distributed_match(
         v, u, w = v[grantable], u[grantable], w[grantable]
 
         if v.size:
-            # Target grants its best incoming request.
-            order = np.lexsort((v, -w, u))
-            u_s, v_s = u[order], v[order]
-            first = np.concatenate([[True], u_s[1:] != u_s[:-1]])
-            gu, gv = u_s[first], v_s[first]
-            match[gu] = gv
-            match[gv] = gu
-            stats.pairs += int(gu.shape[0])
+            stats.pairs += grant_requests(match, v, u, w, scheme)
 
         # Communication: aggregated request + grant messages.
         v_rank = dist.rank_of[v] if v.size else np.empty(0, dtype=np.int64)

@@ -8,7 +8,8 @@ large part of the vertices are matched."
 The coin flip replaces ParMetis's alternating index-direction filter as
 the symmetry breaker: a vertex only *requests* in rounds where its coin
 lands heads, and only *grants* when it did not request — so conflicts
-cannot arise, at the cost of idle coin-flips.
+cannot arise, at the cost of idle coin-flips.  The grant is ParMetis's
+(:func:`repro.parmetis.matching.grant_requests`).
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ import numpy as np
 from .._segments import gather_ranges, segmented_argmax
 from ..runtime.mpi import MpiSim
 from ..parmetis.distgraph import DistGraph
+from ..parmetis.matching import grant_requests
 from ..serial.matching import check_scheme
 
 __all__ = ["MonteCarloMatchStats", "montecarlo_match"]
@@ -92,14 +94,7 @@ def montecarlo_match(
             stats.requests_sent += int(v.shape[0])
 
             if v.size:
-                # Grant: target picks its best incoming request.
-                order = np.lexsort((v, -w, u))
-                u_s, v_s = u[order], v[order]
-                first = np.concatenate([[True], u_s[1:] != u_s[:-1]])
-                gu, gv = u_s[first], v_s[first]
-                match[gu] = gv
-                match[gv] = gu
-                stats.pairs += int(gu.shape[0])
+                stats.pairs += grant_requests(match, v, u, w, scheme)
 
                 v_rank = dist.rank_of[v]
                 u_rank = dist.rank_of[u]

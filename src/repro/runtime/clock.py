@@ -23,7 +23,9 @@ the host, so concurrent streams advance on parallel timelines and
 :attr:`~SimClock.total_seconds` (the wall clock) becomes the busy-union of
 the tracks — the max of overlapping spans, mirroring how ``ThreadPoolSim``
 folds CPU threads — never the serial sum.  :attr:`~SimClock.busy_seconds`
-keeps the serial sum for utilization math.
+keeps the serial sum for utilization math.  :class:`HostTimeline` is the
+host cursor seen as a timeline to charge, the blocking counterpart of a
+track: the simulated device's host stream is one.
 """
 
 from __future__ import annotations
@@ -34,6 +36,7 @@ from typing import Iterable
 
 __all__ = [
     "CostEvent",
+    "HostTimeline",
     "SimClock",
     "VOLUME_CATEGORIES",
     "OVERHEAD_CATEGORIES",
@@ -330,3 +333,38 @@ class SimClock:
         for phase, secs in sorted(self.seconds_by_phase().items()):
             lines.append(f"  {phase:<16s} {secs:.6f} s")
         return "\n".join(lines)
+
+
+class HostTimeline:
+    """The host cursor of a :class:`SimClock`, as a timeline to charge.
+
+    Blocking work runs here: :meth:`charge` is :meth:`SimClock.charge`
+    returning the charged interval, and spans carry no ``stream``
+    attribute.  An asynchronous stream offers the same three members on
+    its own track, so code that charges "wherever this work runs" (a
+    PCIe copy, a kernel launch, a retry backoff) is written once for
+    both schedules.
+    """
+
+    def __init__(self, clock: SimClock) -> None:
+        self.clock = clock
+
+    @property
+    def cursor(self) -> float:
+        """Where the next charge starts: the host cursor."""
+        return self.clock.total_seconds
+
+    def charge(
+        self, category: str, seconds: float, count: float = 0.0, detail: str = ""
+    ) -> tuple[float, float]:
+        """Charge the host cursor; returns the ``(start, end)`` interval."""
+        start = self.clock.total_seconds
+        self.clock.charge(category, seconds, count=count, detail=detail)
+        return start, self.clock.total_seconds
+
+    def span(self, name: str, start: float, end: float, category: str, **attrs) -> None:
+        """Add a complete span for work on this timeline, when a profiler
+        observes the clock."""
+        profiler = self.clock.profiler
+        if profiler is not None:
+            profiler.add_span(name, start, end, category=category, **attrs)

@@ -8,8 +8,8 @@ end-to-end simulated seconds strictly improve whenever GPU levels run.
 
 Also covered here: the single-buffer memory fallback (staging residency
 over budget degrades bandwidth, never correctness) and the fault
-injector's view of in-flight async copies (failed-attempt transfer time
-lands in the ``retry`` bucket, not ``transfer``).
+injector's view of failed copies on either schedule (failed-attempt
+transfer time lands in the ``retry`` bucket, not ``transfer``).
 """
 
 import numpy as np
@@ -132,6 +132,10 @@ class _Ticket:
 
 
 class TestRetryAttribution:
+    """One retry loop serves both schedules; ``TestRetryAttributionSerial``
+    reruns every test here on the serial (host-stream) schedule."""
+
+    ASYNC = True
     DISPATCH = 0.001
     PLAN = FaultPlan(specs=(
         FaultSpec("transfer.h2d", "fail", probability=1.0, max_fires=1,
@@ -140,18 +144,28 @@ class TestRetryAttribution:
 
     @pytest.fixture(scope="class")
     def faulted(self):
-        return _run(GRAPHS["grid"](), 8, async_streams=True,
+        return _run(GRAPHS["grid"](), 8, async_streams=self.ASYNC,
                     fault_plan=self.PLAN)
 
     def test_failed_copy_recovers_identically(self, faulted):
-        clean = _run(GRAPHS["grid"](), 8, async_streams=True)
+        clean = _run(GRAPHS["grid"](), 8, async_streams=self.ASYNC)
         assert np.array_equal(faulted.part, clean.part)
         assert faulted.modeled_seconds > clean.modeled_seconds
 
     def test_retry_span_covers_burned_attempt(self, faulted):
         spans = list(faulted.profiler.root.find_category("retry"))
-        assert spans, "failed async copy emitted no retry span"
+        assert spans, "failed copy emitted no retry span"
         assert sum(s.duration for s in spans) > 0.0
+
+    def test_retry_spans_carry_attempt_and_budget(self, faulted):
+        spans = list(faulted.profiler.root.find_category("retry"))
+        names = sorted(s.name for s in spans)
+        assert names == ["retry transfer.h2d", "retry transfer.h2d attempt"]
+        for span in spans:
+            assert span.attrs["attempt"] == 1
+            assert span.attrs["max_retries"] == 3
+            # Only an asynchronous stream tags its spans.
+            assert span.attrs.get("stream") == ("copy" if self.ASYNC else None)
 
     def test_attribution_moves_transfer_to_retry(self, faulted):
         att = ticket_attribution(_Ticket(faulted, self.DISPATCH),
@@ -163,14 +177,18 @@ class TestRetryAttribution:
         assert sum(att.values()) == pytest.approx(ticket.latency)
 
     def test_clean_run_attributes_no_retry(self):
-        clean = _run(GRAPHS["grid"](), 8, async_streams=True)
+        clean = _run(GRAPHS["grid"](), 8, async_streams=self.ASYNC)
         att = ticket_attribution(_Ticket(clean, self.DISPATCH),
                                  dispatch_seconds=self.DISPATCH)
         assert att["retry"] == 0.0
         faulted_att = ticket_attribution(
-            _Ticket(_run(GRAPHS["grid"](), 8, async_streams=True,
+            _Ticket(_run(GRAPHS["grid"](), 8, async_streams=self.ASYNC,
                          fault_plan=self.PLAN), self.DISPATCH),
             dispatch_seconds=self.DISPATCH)
         # The moved seconds come out of the transfer bucket, so the
         # faulted run's transfer share does not grow with the fault.
         assert faulted_att["transfer"] <= att["transfer"] + 1e-12
+
+
+class TestRetryAttributionSerial(TestRetryAttribution):
+    ASYNC = False

@@ -4,7 +4,8 @@ The model is eager-data / deferred-time: an async copy moves its bytes
 at enqueue (so results never depend on the schedule) while the PCIe cost
 lands on the stream's track, to be folded into wall time only at a
 synchronize.  Events are points on a stream's timeline; ``wait`` is
-``cudaStreamWaitEvent`` (an idle gap, nothing charged).
+``cudaStreamWaitEvent`` (an idle gap, nothing charged).  The device's
+host stream runs the same copies and launches on the host cursor.
 """
 
 import numpy as np
@@ -13,7 +14,7 @@ import pytest
 from repro.exceptions import TransferError
 from repro.faults import FaultPlan, FaultSpec, attach_injector
 from repro.gpusim import Device
-from repro.gpusim.streams import d2h_async, h2d_async
+from repro.gpusim.transfer import d2h_async, h2d_async
 from repro.runtime.clock import SimClock
 from repro.runtime.machine import PAPER_MACHINE
 
@@ -132,3 +133,48 @@ class TestInjectedAsyncFaults:
             return c.total_seconds
 
         assert run() == run()
+
+
+def _copy_and_launch(dev, stream):
+    """One H2D copy and one kernel launch, both on ``stream``; returns the
+    copy's completion event."""
+    darr, ev = h2d_async(stream, np.arange(2048, dtype=np.int64), NET, label="x")
+    stream.wait(ev)
+    with dev.kernel("k", 2048, stream=stream) as k:
+        k.stream_read(darr)
+    return ev
+
+
+class TestHostStream:
+    def test_copy_and_launch_charge_the_host_like_simclock(self, clock, dev):
+        ev = _copy_and_launch(dev, dev.host)
+        # The same work on an asynchronous stream gives the costs; on the
+        # host stream each must be exactly a SimClock.charge of it.
+        other = Device(PAPER_MACHINE.gpu, SimClock())
+        _copy_and_launch(other, other.stream("copy"))
+        expected = SimClock()
+        expected.set_phase("test")
+        for e in other.clock.events:
+            expected.charge(e.category, e.seconds, count=e.count, detail=e.detail)
+            if e.category == "transfer_bytes":
+                assert ev.time == expected.total_seconds  # the copy's end
+        assert [e.category for e in expected.events] == [
+            "transfer_latency", "transfer_bytes", "launch", "memory"]
+        assert clock.events == expected.events
+        assert all(e.track == "" and e.start == -1.0 for e in clock.events)
+        assert clock.total_seconds == expected.total_seconds
+
+    def test_kernels_default_to_the_host_stream(self, clock, dev):
+        assert dev.default_stream is dev.host
+        with dev.kernel("k", 256) as k:
+            k.stream_write(dev.alloc(256, np.int64), np.ones(256, dtype=np.int64))
+        assert clock.total_seconds > 0.0
+        assert {e.track for e in clock.events} == {""}
+
+    def test_host_wait_is_an_event_synchronize(self, clock, dev):
+        _, ev = h2d_async(dev.stream("copy"), np.zeros(4000, dtype=np.int64), NET)
+        dev.host.synchronize()  # nothing is in flight on the host stream
+        assert clock.total_seconds == 0.0
+        dev.host.wait(ev)
+        assert clock.total_seconds == ev.time
+        assert len(clock.events) == 2  # the copy's own charges, nothing more

@@ -6,6 +6,7 @@ import pytest
 
 from repro.exceptions import InvalidParameterError
 from repro.graphs import validate_partition
+from repro.graphs.build import from_edges
 from repro.graphs.generators import delaunay
 from repro.parmetis import (
     DistGraph,
@@ -14,6 +15,7 @@ from repro.parmetis import (
     distributed_coarsen,
     distributed_match,
 )
+from repro.parmetis.matching import grant_requests
 from repro.runtime.clock import SimClock
 from repro.runtime.machine import CpuSpec, InterconnectSpec
 from repro.runtime.mpi import MpiSim
@@ -86,6 +88,29 @@ class TestDistributedMatching:
         dist = DistGraph.distribute(medium_graph, 4)
         with pytest.raises(InvalidParameterError, match="unknown matching scheme"):
             distributed_match(dist, mpi, scheme=scheme)
+
+    @pytest.mark.parametrize(
+        "scheme, expected", [("lem", [1, 0, 2]), ("hem", [2, 1, 0]), ("rm", [2, 1, 0])]
+    )
+    def test_grant_keyed_like_the_requests(self, scheme, expected):
+        """Both leaves of a star ask its centre; under LEM the centre grants
+        the lightest request, under HEM and RM the heaviest."""
+        star = from_edges(3, [(0, 1), (0, 2)], [1, 5])
+        mpi = MpiSim(1, CpuSpec(), InterconnectSpec(), SimClock())
+        match, stats = distributed_match(
+            DistGraph.distribute(star, 1), mpi, scheme=scheme,
+            rng=np.random.default_rng(0),
+        )
+        assert match.tolist() == expected
+        assert stats.pairs == 1
+
+    @pytest.mark.parametrize("scheme", ["lem", "hem", "rm"])
+    def test_grant_ties_go_to_the_lowest_requester(self, scheme):
+        match = np.full(6, -1, dtype=np.int64)
+        v, u = np.array([5, 4, 2, 1]), np.array([3, 3, 0, 0])
+        pairs = grant_requests(match, v, u, np.array([7, 7, 2, 2]), scheme)
+        assert pairs == 2
+        assert match.tolist() == [1, 0, -1, 4, 3, -1]
 
 
 class TestDistributedCoarsening:

@@ -6,6 +6,7 @@ import pytest
 
 from repro.exceptions import InvalidParameterError
 from repro.graphs import edge_cut, validate_partition
+from repro.graphs.build import from_edges
 from repro.graphs.generators import delaunay, grid2d
 from repro.parmetis.distgraph import DistGraph
 from repro.ptscotch import (
@@ -79,6 +80,21 @@ class TestMonteCarloMatching:
         dist = DistGraph.distribute(medium_graph, 4)
         with pytest.raises(InvalidParameterError, match="unknown matching scheme"):
             montecarlo_match(dist, mpi, scheme=scheme)
+
+    @pytest.mark.parametrize(
+        "scheme, expected", [("lem", [1, 0, 2]), ("hem", [2, 1, 0]), ("rm", [2, 1, 0])]
+    )
+    def test_grant_keyed_like_the_requests(self, scheme, expected):
+        """Both leaves of a star ask its centre; under LEM the centre grants
+        the lightest request, under HEM and RM the heaviest."""
+        star = from_edges(3, [(0, 1), (0, 2)], [1, 5])
+        mpi = MpiSim(1, CpuSpec(), InterconnectSpec(), SimClock())
+        match, stats = montecarlo_match(
+            DistGraph.distribute(star, 1), mpi, scheme=scheme,
+            rng=np.random.default_rng(0),
+        )
+        assert match.tolist() == expected
+        assert stats.pairs == 1
 
     def test_probability_extremes(self, medium_graph):
         """Why PT-Scotch flips coins at 0.5: with p = 1 every vertex
