@@ -173,10 +173,11 @@ class KernelContext:
         if injector is not None:
             # Faulted launches abort before any work lands, so device
             # arrays never hold a half-executed kernel's writes; a
-            # timeout burns its watchdog interval first.
+            # timeout burns its watchdog interval first, on the stream
+            # the launch was enqueued on.
             for spec in injector.fire("kernel.launch", self.name):
                 if spec.kind == "timeout":
-                    self.device.clock.charge(
+                    self.stream.charge(
                         "launch", spec.seconds, count=1.0,
                         detail=f"{self.name} (watchdog timeout)",
                     )

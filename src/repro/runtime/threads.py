@@ -172,11 +172,14 @@ class ThreadPoolSim:
         if items.size == 0:
             return
         order = np.argsort(ownership, kind="stable")
-        sorted_items = items[order]
         sorted_owner = ownership[order]
         counts = np.bincount(sorted_owner, minlength=self.num_threads)
-        starts = np.concatenate([[0], np.cumsum(counts)[:-1]])
-        max_len = int(counts.max(initial=0))
-        for j in range(max_len):
-            has = counts > j
-            yield sorted_items[starts[has] + j]
+        starts = np.cumsum(counts) - counts
+        # An item's position in its thread's worklist is its batch; a
+        # stable sort by it keeps thread order within each batch.
+        rank = np.arange(items.size) - starts[sorted_owner]
+        schedule = items[order][np.argsort(rank, kind="stable")]
+        start = 0
+        for end in np.cumsum(np.bincount(rank)).tolist():
+            yield schedule[start:end]
+            start = end

@@ -10,6 +10,7 @@ initial-partitioning stages.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from heapq import heapify, heappop, heappush
 
 import numpy as np
 
@@ -53,8 +54,22 @@ def fm_refine_bisection(
     ``target_weights`` are the ideal side weights (unequal for non-power-
     of-two recursive bisection); a side may not exceed ``ubfactor x
     target``.  Each pass moves vertices in best-gain order with lockout,
-    tracks the best prefix, and reverts the tail.  ``pinned`` vertices
+    the lowest id on ties, tracks the best prefix, and reverts the tail;
+    it ends when no unlocked vertex fits the other side, or after
+    ``_STALL_LIMIT`` moves without a better cut.  ``pinned`` vertices
     contribute gains as context but never move (interface-region halos).
+
+    Each side keeps a lazy max-heap of ``(-gain, vertex)`` per distinct
+    vertex weight, over Python-list copies of the CSR: the vertices that
+    fit are a prefix of the side's weights in ascending order, so a pick
+    reads that prefix's valid tops (unlocked, with exactly that gain)
+    rather than all n vertices.  Keys are Python ints while float64
+    holds every gain exactly (absolute edge weights summing below
+    2**51), float64 past that, so a pick is always the ``np.argmax``
+    over float64 gains.  Preconditions (CSR invariants): no adjacency
+    list holds a vertex twice, and the total vertex weight is below
+    2**53, where integer side weights meet the float caps as float64
+    would.
     """
     part = np.asarray(part, dtype=np.int64).copy()
     n = graph.num_vertices
@@ -70,24 +85,43 @@ def fm_refine_bisection(
         )
     if n == 0:
         return FMResult(part, 0, 0, 0)
-    pinned_mask = (
-        np.zeros(n, dtype=bool) if pinned is None else np.asarray(pinned, dtype=bool)
+    movable = (
+        range(n) if pinned is None
+        else np.flatnonzero(~np.asarray(pinned, dtype=bool)).tolist()
     )
-    vwgt = graph.vwgt
-    adjp, adjncy, adjwgt = graph.adjp, graph.adjncy, graph.adjwgt
+    adjp = graph.adjp.tolist()
+    adjncy = graph.adjncy.tolist()
+    exact = np.abs(graph.adjwgt).sum(dtype=np.float64) < 2**51
+    gain_type = np.int64 if exact else np.float64
+    # A move shifts each neighbor's gain by twice the edge weight.
+    shift = (2 * graph.adjwgt).astype(gain_type).tolist()
+    vwgt = graph.vwgt.tolist()
     maxw = (ubfactor * target_weights[0], ubfactor * target_weights[1])
 
-    side_w = [int(vwgt[part == 0].sum()), int(vwgt[part == 1].sum())]
+    side_w = [int(graph.vwgt[part == 0].sum()), int(graph.vwgt[part == 1].sum())]
     from ..graphs.metrics import edge_cut
 
     cut = edge_cut(graph, part)
+    labels = part.tolist()
     total_moves = 0
     passes_run = 0
 
     for _ in range(max_passes):
         passes_run += 1
-        gains = bisection_gains(graph, part).astype(np.float64)
-        locked = pinned_mask.copy()
+        neg_gain = (-bisection_gains(graph, part).astype(gain_type)).tolist()
+        # key[v]: v's current -gain while it may move, None once locked.
+        key: list[int | float | None] = [None] * n
+        heap_of: list[list | None] = [None] * n
+        classes = ({}, {})
+        for v in movable:
+            key[v] = neg_gain[v]
+            heap = heap_of[v] = classes[labels[v]].setdefault(vwgt[v], [])
+            heap.append((neg_gain[v], v))
+        by_weight = []
+        for side in classes:
+            for heap in side.values():
+                heapify(heap)
+            by_weight.append(sorted(side.items()))
         history: list[int] = []
         best_prefix = 0
         best_cut = cut
@@ -95,36 +129,41 @@ def fm_refine_bisection(
         stall = 0
 
         while True:
-            # Movable: unlocked and balance-feasible after the move.
-            cand = gains.copy()
-            cand[locked] = -np.inf
-            dest = 1 - part
-            feasible = (
-                np.array(side_w)[dest] + vwgt <= np.array(maxw)[dest]
-            )
-            cand[~feasible] = -np.inf
-            v = int(np.argmax(cand))
-            if not np.isfinite(cand[v]):
+            pick = None
+            for s in (0, 1):
+                dest_w, cap = side_w[1 - s], maxw[1 - s]
+                for w, heap in by_weight[s]:
+                    if not dest_w + w <= cap:
+                        break  # heavier classes do not fit either
+                    while heap:
+                        top = heap[0]
+                        if key[top[1]] == top[0]:
+                            if pick is None or top < pick:
+                                pick = top
+                            break
+                        heappop(heap)
+            if pick is None:
                 break
-            g = int(gains[v])
-            s = int(part[v])
+            g = int(-pick[0])
+            v = pick[1]
+            s = labels[v]
             d = 1 - s
-            part[v] = d
-            side_w[s] -= int(vwgt[v])
-            side_w[d] += int(vwgt[v])
-            locked[v] = True
+            labels[v] = d
+            side_w[s] -= vwgt[v]
+            side_w[d] += vwgt[v]
+            key[v] = None
             running_cut -= g
             history.append(v)
             # Incremental neighbor gain update: an edge to v's new side
             # just became internal for same-side neighbors (their gain
             # drops) and external for the ones left behind (gain rises).
-            a, b = adjp[v], adjp[v + 1]
-            nbrs = adjncy[a:b]
-            ws = adjwgt[a:b]
-            same_side = part[nbrs] == d
-            gains[nbrs[same_side]] -= 2 * ws[same_side]
-            gains[nbrs[~same_side]] += 2 * ws[~same_side]
-            gains[v] = -g
+            for i in range(adjp[v], adjp[v + 1]):
+                u = adjncy[i]
+                k = key[u]
+                if k is not None:
+                    k = k + shift[i] if labels[u] == d else k - shift[i]
+                    key[u] = k
+                    heappush(heap_of[u], (k, u))
 
             if running_cut < best_cut:
                 best_cut = running_cut
@@ -137,11 +176,12 @@ def fm_refine_bisection(
 
         # Roll back moves after the best prefix.
         for v in reversed(history[best_prefix:]):
-            d = int(part[v])
+            d = labels[v]
             s = 1 - d
-            part[v] = s
-            side_w[d] -= int(vwgt[v])
-            side_w[s] += int(vwgt[v])
+            labels[v] = s
+            side_w[d] -= vwgt[v]
+            side_w[s] += vwgt[v]
+        part = np.array(labels, dtype=np.int64)
         total_moves += best_prefix
         if best_cut >= cut:
             cut = best_cut

@@ -11,7 +11,7 @@ host stream runs the same copies and launches on the host cursor.
 import numpy as np
 import pytest
 
-from repro.exceptions import TransferError
+from repro.exceptions import KernelAbortError, TransferError
 from repro.faults import FaultPlan, FaultSpec, attach_injector
 from repro.gpusim import Device
 from repro.gpusim.transfer import d2h_async, h2d_async
@@ -133,6 +133,40 @@ class TestInjectedAsyncFaults:
             return c.total_seconds
 
         assert run() == run()
+
+
+class TestKernelWatchdog:
+    """A ``kernel.launch`` timeout burns its watchdog interval where the
+    launch runs: on an asynchronous stream's track, not the host's."""
+
+    def _timeout_once(self, clock):
+        attach_injector(clock, FaultPlan(specs=(
+            FaultSpec("kernel.launch", "timeout", seconds=0.5,
+                      probability=1.0, max_fires=1),
+        )))
+
+    def test_timeout_on_a_stream_charges_its_track(self, clock, dev):
+        self._timeout_once(clock)
+        compute = dev.stream("compute")
+        with pytest.raises(KernelAbortError):
+            with dev.kernel("k", 256, stream=compute):
+                pass
+        (event,) = clock.events
+        assert (event.category, event.seconds) == ("launch", 0.5)
+        assert event.track == compute.track
+        assert clock.total_seconds == 0.0  # the host did not block
+        assert compute.cursor == 0.5
+        compute.synchronize()
+        assert clock.total_seconds == 0.5
+
+    def test_timeout_on_the_host_stream_charges_the_host(self, clock, dev):
+        self._timeout_once(clock)
+        with pytest.raises(KernelAbortError):
+            with dev.kernel("k", 256):
+                pass
+        (event,) = clock.events
+        assert (event.category, event.seconds, event.track) == ("launch", 0.5, "")
+        assert clock.total_seconds == 0.5
 
 
 def _copy_and_launch(dev, stream):
