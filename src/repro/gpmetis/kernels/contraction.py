@@ -34,7 +34,7 @@ import numpy as np
 from ..._segments import gather_ranges
 from ...graphs.csr import CSRGraph
 from ...gpusim.device import Device
-from ...gpusim.memory import DeviceArray
+from ...gpusim.memory import AccessPattern, DeviceArray
 from ...gpusim.scan import exclusive_scan
 from ...serial.contraction import contract
 from .merge_hash import charge_hash_merge_kernel, hash_tables_fit, reference_hash_merge
@@ -122,7 +122,12 @@ def gpu_contract(
     ids = np.arange(n, dtype=np.int64)
     is_rep = ids <= match
     reps = ids[is_rep]
+    partner = match[reps]
     deg = graph.degrees()
+    # Several kernels below read through the representatives and their
+    # partners; each pattern's transactions are counted once.
+    rep_pattern = AccessPattern(reps)
+    partner_pattern = AccessPattern(partner)
 
     # Sparsity/memory precondition of the hash path.
     strategy = merge_strategy
@@ -134,16 +139,15 @@ def gpu_contract(
     # Thread assignment: coarse vertex i -> thread i % T (the shrinking-
     # thread-count layout of Sec. III.A).
     thread_of_rep = (np.arange(reps.shape[0], dtype=np.int64)) % n_threads
-    max_entries = deg[reps] + np.where(match[reps] != reps, deg[match[reps]], 0)
+    max_entries = deg[reps] + np.where(partner != reps, deg[partner], 0)
 
     # Kernel 1: per-thread maximum entry counts.
     d_temp = dev.alloc(n_threads, np.int64, label="temp")
     with dev.kernel("coarsen.contract_count", n_threads=n_threads) as k:
-        k.gather(d_csr["adjp"], reps)
+        k.gather(d_csr["adjp"], rep_pattern)
         k.gather(d_csr["adjp"], reps + 1)
-        k.gather(d_match, reps)
-        partner = match[reps]
-        k.gather(d_csr["adjp"], partner)
+        k.gather(d_match, rep_pattern)
+        k.gather(d_csr["adjp"], partner_pattern)
         k.gather(d_csr["adjp"], partner + 1)
         k.compute(2 * reps.shape[0])
         per_thread = np.bincount(thread_of_rep, weights=max_entries.astype(np.float64),
@@ -173,14 +177,15 @@ def gpu_contract(
     with dev.kernel("coarsen.contract_merge", n_threads=n_threads) as k:
         # Read every arc of the fine graph (both endpoints' lists).
         flat = gather_ranges(graph.adjp[reps], deg[reps])
-        k.gather(d_csr["adjncy"], flat)
-        k.gather(d_csr["adjwgt"], flat)
-        partner = match[reps]
+        own_arcs = AccessPattern(flat)
+        k.gather(d_csr["adjncy"], own_arcs)
+        k.gather(d_csr["adjwgt"], own_arcs)
         pmask = partner != reps
         pflat = gather_ranges(graph.adjp[partner[pmask]], deg[partner[pmask]])
         if pflat.size:
-            k.gather(d_csr["adjncy"], pflat)
-            k.gather(d_csr["adjwgt"], pflat)
+            partner_arcs = AccessPattern(pflat)
+            k.gather(d_csr["adjncy"], partner_arcs)
+            k.gather(d_csr["adjwgt"], partner_arcs)
         # Map every read neighbor through CM (data-dependent gather).
         all_nbrs = np.concatenate([graph.adjncy[flat], graph.adjncy[pflat]]) if pflat.size else graph.adjncy[flat]
         k.gather(d_cmap, all_nbrs)
@@ -198,7 +203,7 @@ def gpu_contract(
         # coarse vertex — exclusive regions, which the sanitizer verifies.
         n_merged = coarse.num_directed_edges
         if n_merged:
-            out_positions = np.arange(n_merged, dtype=np.int64)
+            out_positions = AccessPattern(np.arange(n_merged, dtype=np.int64))
             owner = np.repeat(thread_of_rep, np.diff(coarse.adjp))
             k.scatter(d_tadjncy, out_positions, coarse.adjncy, threads=owner)
             k.scatter(d_tadjwgt, out_positions, coarse.adjwgt, threads=owner)
@@ -242,9 +247,8 @@ def gpu_contract(
     # Coarse vertex weights: one read per pair endpoint, one write per
     # coarse vertex.
     with dev.kernel("coarsen.vwgt", n_threads=n_threads) as k:
-        k.gather(d_csr["vwgt"], reps)
-        p = match[reps]
-        k.gather(d_csr["vwgt"], p)
+        k.gather(d_csr["vwgt"], rep_pattern)
+        k.gather(d_csr["vwgt"], partner_pattern)
         k.stream_write(d_coarse["vwgt"], coarse.vwgt)
         k.compute(reps.shape[0])
     if copy_out is not None:

@@ -22,10 +22,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..._segments import gather_ranges
 from ...graphs.csr import CSRGraph
 from ...gpusim.device import Device
-from ...gpusim.memory import DeviceArray
+from ...gpusim.memory import AccessPattern, DeviceArray
 from ...mtmetis.matching import LockfreeMatchStats, lockfree_match
 
 __all__ = ["gpu_match", "consecutive_batches"]
@@ -91,12 +90,13 @@ def gpu_match(
         k.gather(d_csr["adjp"], verts, threads=vthreads)      # row starts
         k.gather(d_csr["adjp"], verts + 1, threads=vthreads)  # row ends
         degs = graph.degrees()
-        flat = gather_ranges(graph.adjp[verts], degs)
+        # Rows in vertex order tile arcs 0..nnz-1, whose neighbors are adjncy.
+        arcs = AccessPattern(np.arange(graph.num_directed_edges, dtype=np.int64))
         fthreads = np.repeat(vthreads, degs)
-        k.gather(d_csr["adjncy"], flat, threads=fthreads)     # neighbor ids
-        k.gather(d_csr["adjwgt"], flat, threads=fthreads)     # edge weights
+        k.gather(d_csr["adjncy"], arcs, threads=fthreads)     # neighbor ids
+        k.gather(d_csr["adjwgt"], arcs, threads=fthreads)     # edge weights
         # Reading M[u] for every scanned neighbor: data-dependent gather.
-        k.gather(d_match, graph.adjncy[flat], threads=fthreads)
+        k.gather(d_match, graph.adjncy, threads=fthreads)
         k.compute_divergent(degs.astype(np.float64))
         # Two writes per matched pair (M[v]=u, M[u]=v): v side coalesced,
         # u side scattered.

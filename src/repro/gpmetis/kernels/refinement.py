@@ -29,7 +29,7 @@ import numpy as np
 from ...graphs.csr import CSRGraph
 from ...gpusim.atomics import atomic_append
 from ...gpusim.device import Device
-from ...gpusim.memory import DeviceArray
+from ...gpusim.memory import AccessPattern, DeviceArray
 from ...gpusim.sort import charge_thread_quicksort
 from ...mtmetis.refinement import (
     SubIterationStats,
@@ -65,10 +65,11 @@ def gpu_refine_level(
     d_buffers = dev.alloc(max(1, n), np.int64, label="refine.buffers")
     d_counters = dev.alloc(max(1, k), np.int64, label="refine.S")
     # The boundary sweep reads every vertex's adjacency; its index arrays
-    # are the same in every pass of the level.
-    verts = np.arange(n, dtype=np.int64)
-    verts_next = verts + 1
-    arcs = np.arange(graph.num_directed_edges, dtype=np.int64)
+    # are the same in every pass of the level, so each is counted once.
+    row_starts = AccessPattern(np.arange(n, dtype=np.int64))
+    row_ends = AccessPattern(np.arange(1, n + 1, dtype=np.int64))
+    arcs = AccessPattern(np.arange(graph.num_directed_edges, dtype=np.int64))
+    neighbors = AccessPattern(graph.adjncy)
     deg_ops = deg.astype(np.float64)
 
     for _ in range(max_passes):
@@ -82,10 +83,10 @@ def gpu_refine_level(
         up, down = propose_moves(graph, part, k, (+1, -1), pweights, max_pw, min_pw)
         proposals = {+1: up, -1: down}
         with dev.kernel("uncoarsen.boundary_gain", n_threads=n_threads) as kk:
-            kk.gather(d_csr["adjp"], verts)
-            kk.gather(d_csr["adjp"], verts_next)
+            kk.gather(d_csr["adjp"], row_starts)
+            kk.gather(d_csr["adjp"], row_ends)
             kk.gather(d_csr["adjncy"], arcs)
-            kk.gather(d_part, graph.adjncy)  # neighbor labels
+            kk.gather(d_part, neighbors)  # neighbor labels
             kk.compute_divergent(deg_ops)
             bstats = proposals[+1][3]
             if bstats.boundary_size:

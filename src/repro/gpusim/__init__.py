@@ -5,7 +5,7 @@ from .atomics import atomic_append
 from .device import Device, KernelContext
 from .sanitizer import LaunchRaceReport, RaceFinding, RaceSanitizer
 from .hashtable import ClusteredHashTable, charge_hash_merge, hash_table_bytes
-from .memory import DeviceArray, stream_transactions, warp_transactions
+from .memory import AccessPattern, DeviceArray, stream_transactions, warp_transactions
 from .scan import exclusive_scan, inclusive_scan
 from .simt import divergence_factor, grid_for, threads_for_items, warp_divergent_ops
 from .sort import charge_thread_quicksort, thread_sort_dedup
@@ -18,6 +18,7 @@ __all__ = [
     "RaceSanitizer",
     "RaceFinding",
     "LaunchRaceReport",
+    "AccessPattern",
     "DeviceArray",
     "warp_transactions",
     "stream_transactions",

@@ -27,7 +27,7 @@ import numpy as np
 from ..exceptions import DeviceMemoryError, KernelLaunchError
 from ..runtime.clock import SimClock
 from ..runtime.machine import GpuSpec
-from .memory import DeviceArray, stream_transactions, warp_transactions
+from .memory import AccessPattern, DeviceArray, stream_transactions, warp_transactions
 from .simt import warp_divergent_ops
 from .stats import DeviceStats
 from .streams import HostStream, Stream
@@ -226,9 +226,24 @@ class KernelContext:
         self._seq += 1
 
     # -- access recording -------------------------------------------------
-    def _account_indexed(self, darr: DeviceArray, idx: np.ndarray) -> None:
+    def _account_indexed(
+        self, darr: DeviceArray, indices: AccessPattern | np.ndarray
+    ) -> np.ndarray:
+        """Charge one warp-ordered indexed access; returns its int64 indices.
+
+        A pattern's count is taken once per item size, through this
+        module's ``warp_transactions`` binding like a plain array's.
+        """
         spec = self.device.spec
-        txns = warp_transactions(idx, darr.itemsize, spec.warp_size, spec.transaction_bytes)
+        key = (darr.itemsize, spec.warp_size, spec.transaction_bytes)
+        if isinstance(indices, AccessPattern):
+            idx = indices.indices
+            txns = indices.counts.get(key)
+            if txns is None:
+                txns = indices.counts[key] = warp_transactions(idx, *key)
+        else:
+            idx = np.asarray(indices, dtype=np.int64)
+            txns = warp_transactions(idx, *key)
         nbytes = idx.size * darr.itemsize
         # A perfectly coalesced indexed access behaves like a stream; only
         # the transactions *beyond* that minimum are random traffic —
@@ -241,31 +256,30 @@ class KernelContext:
         else:
             self._random_transactions += excess
         self._bytes_requested += nbytes
+        return idx
 
     def gather(
         self,
         darr: DeviceArray,
-        indices: np.ndarray,
+        indices: AccessPattern | np.ndarray,
         threads: np.ndarray | None = None,
     ) -> np.ndarray:
         """Warp-ordered irregular read; returns the gathered values."""
         darr._require_live()
-        idx = np.asarray(indices, dtype=np.int64)
-        self._account_indexed(darr, idx)
+        idx = self._account_indexed(darr, indices)
         self._record(darr, idx, "read", threads=threads)
         return darr.data[idx]
 
     def scatter(
         self,
         darr: DeviceArray,
-        indices: np.ndarray,
+        indices: AccessPattern | np.ndarray,
         values,
         threads: np.ndarray | None = None,
     ) -> None:
         """Warp-ordered irregular write (duplicate indices: last writer wins)."""
         darr._require_live()
-        idx = np.asarray(indices, dtype=np.int64)
-        self._account_indexed(darr, idx)
+        idx = self._account_indexed(darr, indices)
         self._record(darr, idx, "write", values=values, threads=threads)
         darr.data[idx] = values
 

@@ -12,7 +12,9 @@ accesses issue one transaction per distinct block.  Fig. 2 of the paper
 shows the vertex distribution chosen so that thread ``t`` reads vertex
 ``base + t``, making per-warp accesses contiguous.  ``warp_transactions``
 reproduces the hardware rule exactly: it maps each accessed element to
-its block and counts distinct blocks per warp.
+its block and counts distinct blocks per warp.  An :class:`AccessPattern`
+wraps an index array that a kernel accesses more than once, so its count
+is taken once per item size.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ import numpy as np
 
 from ..exceptions import DeviceMemoryError
 
-__all__ = ["DeviceArray", "warp_transactions", "stream_transactions"]
+__all__ = ["AccessPattern", "DeviceArray", "warp_transactions", "stream_transactions"]
 
 #: Monotone allocation ids — the sanitizer keys access logs by ``uid``
 #: because ``id()`` values can be recycled after a ``free()``.
@@ -88,6 +90,28 @@ class DeviceArray:
         return f"DeviceArray({self.label!r}, shape={self.data.shape}, {state})"
 
 
+class AccessPattern:
+    """An index array that kernels read or write through more than once.
+
+    ``indices`` is a read-only int64 view of the caller's array (no copy
+    when it already is int64), and ``counts`` memoizes its
+    :func:`warp_transactions` count per ``(itemsize, warp_size,
+    block_bytes)``.  ``KernelContext.gather`` and ``scatter`` take a
+    pattern wherever they take an index array and charge the same
+    transactions; only the count is reused.  The call that builds a
+    pattern drops it when it returns, so no level's index arrays outlive
+    that call.
+    """
+
+    __slots__ = ("indices", "counts")
+
+    def __init__(self, indices) -> None:
+        view = np.asarray(indices, dtype=np.int64).view()
+        view.flags.writeable = False
+        self.indices = view
+        self.counts: dict[tuple[int, int, int], int] = {}
+
+
 def warp_transactions(
     indices: np.ndarray, itemsize: int, warp_size: int = 32, block_bytes: int = 128
 ) -> int:
@@ -96,25 +120,34 @@ def warp_transactions(
     ``indices[i]`` is the element index accessed by logical thread ``i``;
     threads are grouped into warps of ``warp_size`` consecutive ids.  The
     count is the sum over warps of distinct touched blocks — the rule the
-    paper's Fig. 2 illustrates.
+    paper's Fig. 2 illustrates.  A warp whose block ids never descend
+    touches one block plus one per change between neighbours; only the
+    warps with a descent are sorted to count their distinct blocks.
     """
-    idx = np.asarray(indices)
+    idx = np.asarray(indices, dtype=np.int64)
     n = idx.shape[0]
     if n == 0:
         return 0
-    blocks = (idx.astype(np.int64) * itemsize) // block_bytes
-    pad = (-n) % warp_size
-    if pad:
-        blocks = np.concatenate([blocks, np.full(pad, blocks[-1], dtype=np.int64)])
-    per_warp = blocks.reshape(-1, warp_size)
-    per_warp = np.sort(per_warp, axis=1)
-    distinct = 1 + np.count_nonzero(np.diff(per_warp, axis=1), axis=1)
-    txns = int(distinct.sum())
-    if pad:
-        # Padding duplicated the final element; it cannot have added blocks,
-        # but a partially-filled final warp still costs its distinct blocks.
-        pass
-    return txns
+    per_block, rem = divmod(block_bytes, itemsize)
+    if rem == 0 and per_block & (per_block - 1) == 0:
+        # Floor division by a power of two, negative indices included.
+        blocks = idx >> (int(per_block).bit_length() - 1)
+    else:
+        blocks = (idx * itemsize) // block_bytes
+    full = n - n % warp_size
+    txns = len(set(blocks[full:].tolist()))  # the partial last warp
+    if full:
+        per_warp = blocks[:full].reshape(-1, warp_size)
+        steps = np.diff(per_warp, axis=1)
+        txns += per_warp.shape[0] + np.count_nonzero(steps)
+        descents = steps < 0
+        if descents.any():
+            unsorted = descents.any(axis=1)
+            rows = np.sort(per_warp[unsorted], axis=1)
+            txns += np.count_nonzero(np.diff(rows, axis=1)) - np.count_nonzero(
+                steps[unsorted]
+            )
+    return int(txns)
 
 
 def stream_transactions(nbytes: float, block_bytes: int = 128) -> float:

@@ -1,10 +1,13 @@
 """Unit tests for the simulated device: memory manager + kernel launcher."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
+import repro.gpusim.device as device_module
 from repro.exceptions import DeviceMemoryError, KernelLaunchError
-from repro.gpusim import Device, d2h, h2d
+from repro.gpusim import AccessPattern, Device, d2h, h2d
 from repro.runtime.clock import SimClock
 from repro.runtime.machine import GpuSpec, InterconnectSpec, PAPER_MACHINE
 
@@ -149,6 +152,69 @@ class TestAccessAccounting:
         with dev2.kernel("k", 100) as k:
             k.atomic(100, distinct_targets=100)
         assert clock2.seconds_for(category="atomic") < clock.seconds_for(category="atomic")
+
+
+class TestAccessPatterns:
+    """Every count goes through ``repro.gpusim.device.warp_transactions``,
+    the binding a profiler wraps to time the simulator's accounting; a
+    pattern is counted there once per item size."""
+
+    @pytest.fixture
+    def counted(self, monkeypatch):
+        itemsizes = []
+        real = device_module.warp_transactions
+
+        def counting(indices, itemsize, *args):
+            itemsizes.append(itemsize)
+            return real(indices, itemsize, *args)
+
+        monkeypatch.setattr(device_module, "warp_transactions", counting)
+        return itemsizes
+
+    def test_pattern_counted_once_per_itemsize(self, dev, counted):
+        pattern = AccessPattern(np.array([7, 0, 3, 900, 5] * 20))
+        a64 = dev.alloc(1000, np.int64)
+        a32 = dev.alloc(1000, np.int32)
+        with dev.kernel("k", 32) as k:
+            k.gather(a64, pattern)
+            k.scatter(a64, pattern, 1)
+        assert counted == [8]
+        with dev.kernel("k", 32) as k:
+            k.gather(a32, pattern)
+            k.gather(a64, pattern)
+            k.gather(a32, pattern)
+        assert counted == [8, 4]
+
+    def test_plain_array_counted_per_access(self, dev, counted):
+        idx = np.array([7, 0, 3, 900, 5] * 20)
+        a64 = dev.alloc(1000, np.int64)
+        with dev.kernel("k", 32) as k:
+            k.gather(a64, idx)
+            k.gather(a64, idx)
+            k.scatter(a64, idx, 1)
+        assert counted == [8, 8, 8]
+
+    def test_pattern_charges_what_the_array_charges(self, dev):
+        idx = np.random.default_rng(1).integers(0, 1 << 17, 5000)
+        big = dev.alloc(1 << 17, np.int64)  # beyond L2: random traffic
+        small = dev.alloc(1 << 13, np.int32)  # fits L2: cached traffic
+        small_idx = idx % small.size
+        pattern, small_pattern = AccessPattern(idx), AccessPattern(small_idx)
+        with dev.kernel("array", 256) as k:
+            k.gather(big, idx)
+            k.scatter(big, idx, 0)
+            k.gather(small, small_idx)
+        with dev.kernel("pattern", 256) as k:
+            k.gather(big, pattern)
+            k.scatter(big, pattern, 0)
+            k.gather(small, small_pattern)
+        array, charged = (
+            {f: v for f, v in dataclasses.asdict(dev.stats.kernel(name)).items() if f != "name"}
+            for name in ("array", "pattern")
+        )
+        assert charged == array
+        assert array["random_transactions"] > 0
+        assert array["cached_transactions"] > 0
 
 
 class TestTransfers:
