@@ -23,7 +23,7 @@ import numpy as np
 from ..exceptions import InvalidParameterError
 from ..graphs.csr import CSRGraph
 from ..graphs.metrics import edge_cut, imbalance
-from ..mtmetis.refinement import commit_moves, propose_balance_moves, refine_level
+from ..mtmetis.refinement import balance_rounds, refine_level
 
 __all__ = ["RepartitionResult", "repartition", "migration_volume"]
 
@@ -59,14 +59,8 @@ def _diffusive(graph: CSRGraph, old: np.ndarray, k: int, ubfactor: float,
     ideal = total / k if k else 0.0
     max_pw = ubfactor * ideal
     pweights = np.bincount(part, weights=graph.vwgt.astype(np.float64), minlength=k)
-    guard = 0
-    while pweights.max(initial=0.0) > max_pw and guard < 2 * k:
-        vs, ds, gs, stats = propose_balance_moves(graph, part, k, pweights, max_pw)
-        commit_moves(graph, part, pweights, vs, ds, gs, k, max_pw, stats,
-                     recheck_gains=False)
-        guard += 1
-        if stats.committed == 0:
-            break
+    for _ in balance_rounds(graph, part, pweights, k, max_pw, 2 * k):
+        pass
     part, _ = refine_level(graph, part, k, ubfactor, refine_passes)
     return part
 

@@ -21,12 +21,12 @@ from ..graphs.csr import CSRGraph
 from ..graphs.metrics import edge_cut
 from ..obs.spans import clock_span
 from ..runtime.clock import SimClock
-from ..runtime.trace import LevelRecord, RefinementRecord, Trace
-from ..serial.bisection import recursive_bisection
-from ..serial.coarsen import CoarseningLevel
+from ..runtime.trace import RefinementRecord, Trace
+from ..serial.bisection import bisection_sweeps, recursive_bisection
+from ..serial.coarsen import CoarseningLadder
 from ..serial.contraction import contract
 from ..serial.kway import final_rebalance, kway_refine
-from ..serial.options import FM_PASSES, GGGP_TRIALS, MIN_SHRINK, MultilevelOptions
+from ..serial.options import MultilevelOptions
 from ..serial.project import project_partition
 from .speculative import SpeculativeExecutor
 
@@ -105,12 +105,9 @@ class Gmetis(Engine):
         rng = np.random.default_rng(opts.seed)
 
         clock.set_phase("coarsening")
-        levels: list[CoarseningLevel] = []
-        current = graph
-        target = opts.coarsen_target(k)
-        level_idx = 0
+        ladder = CoarseningLadder(graph, opts.coarsen_target(k), trace)
         total_aborts = 0
-        while current.num_vertices > target:
+        for level_idx, current in ladder:
             with clock_span(
                 clock, f"level {level_idx}", category="level",
                 engine="galois", num_vertices=current.num_vertices,
@@ -130,32 +127,17 @@ class Gmetis(Engine):
                     count=float(current.num_directed_edges),
                     detail=f"contract L{level_idx}",
                 )
-            ids = np.arange(current.num_vertices)
-            trace.levels.append(
-                LevelRecord(
-                    level=level_idx,
-                    num_vertices=current.num_vertices,
-                    num_edges=current.num_edges,
-                    matched_pairs=int((match != ids).sum()) // 2,
-                    conflicts=sstats.aborted,  # aborts play the conflict role
-                    self_matches=int((match == ids).sum()),
-                    engine="galois",
-                )
-            )
-            shrink = 1.0 - coarse.num_vertices / current.num_vertices
-            levels.append(CoarseningLevel(graph=current, cmap=cmap))
-            current = coarse
-            level_idx += 1
-            if shrink < MIN_SHRINK:
-                break
+            # Aborts play the conflict role.
+            ladder.add(coarse, cmap, engine="galois", conflicts=sstats.aborted)
+        levels, coarsest = ladder.levels, ladder.coarsest
 
         clock.set_phase("initpart")
-        part = recursive_bisection(current, k, opts.serial_options(), rng=rng)
-        sweeps = (GGGP_TRIALS + FM_PASSES) * max(1, int(np.ceil(np.log2(max(k, 2)))))
+        part = recursive_bisection(coarsest, k, opts.serial_options(), rng=rng)
+        sweeps = bisection_sweeps(k)
         clock.charge(
             "compute",
-            self.machine.cpu.edge_seconds(sweeps * current.num_directed_edges),
-            count=float(sweeps * current.num_directed_edges),
+            self.machine.cpu.edge_seconds(sweeps * coarsest.num_directed_edges),
+            count=float(sweeps * coarsest.num_directed_edges),
             detail="recursive bisection",
         )
 

@@ -71,9 +71,9 @@ from ..obs.spans import clock_span
 from ..runtime.clock import SimClock
 from ..runtime.machine import MachineSpec
 from ..runtime.threads import ThreadPoolSim
-from ..runtime.trace import LevelRecord, RefinementRecord, Trace
+from ..runtime.trace import RefinementRecord, Trace
+from ..serial.coarsen import CoarseningLadder
 from ..serial.kway import final_rebalance
-from ..serial.options import MIN_SHRINK
 from ..serial.project import project_partition
 from .kernels.cmap import gpu_build_cmap
 from .kernels.contraction import gpu_contract
@@ -93,7 +93,7 @@ class GpuLevel:
 
     graph: CSRGraph
     d_csr: dict[str, DeviceArray]
-    d_cmap: DeviceArray | None = None  # maps this level to the next coarser
+    d_cmap: DeviceArray  # maps this level to the next coarser
 
 
 @dataclass
@@ -224,9 +224,8 @@ def run_hybrid(
     # 2. GPU coarsening.
     # ------------------------------------------------------------------
     clock.set_phase("coarsening-gpu")
+    ladder = CoarseningLadder(graph, stop_at, trace)
     gpu_levels: list[GpuLevel] = []
-    current = GpuLevel(graph=graph, d_csr=d_csr)
-    level_idx = 0
     merge_fallbacks = 0
     fell_back = False
     downloaded: set[str] = set()
@@ -252,16 +251,18 @@ def run_hybrid(
 
         return copy_out
 
-    while current.graph.num_vertices > stop_at:
-        nv = current.graph.num_vertices
+    # ``d_csr`` holds the device arrays of ``ladder.coarsest``: the graph a
+    # fault leaves the loop on stays the one the CPU stage downloads.
+    for level_idx, current in ladder:
+        nv = current.num_vertices
         n_threads = threads_for_items(nv, MAX_GPU_THREADS)
         try:
             with clock_span(
                 clock, f"level {level_idx}", category="level",
-                engine="gpu", num_vertices=nv, num_edges=current.graph.num_edges,
+                engine="gpu", num_vertices=nv, num_edges=current.num_edges,
             ):
                 d_match, mstats = gpu_match(
-                    dev, current.d_csr, current.graph, n_threads, opts.matching,
+                    dev, d_csr, current, n_threads, opts.matching,
                     rng, fuse_resolve=use_async,
                 )
                 d_cmap, n_coarse = gpu_build_cmap(dev, d_match, n_threads)
@@ -273,12 +274,10 @@ def run_hybrid(
                 # The loop-exit test is decidable before contracting, so on
                 # the async schedule the last level's coarse mirror
                 # downloads while its own contraction kernels still run.
-                will_stop = (
-                    n_coarse <= stop_at or (1.0 - n_coarse / nv) < MIN_SHRINK
-                )
+                will_stop = n_coarse <= stop_at or ladder.stalls(nv, n_coarse)
                 copy_out = make_copy_out() if use_async and will_stop else None
                 outcome = gpu_contract(
-                    dev, current.d_csr, current.graph, d_match, d_cmap, n_coarse,
+                    dev, d_csr, current, d_match, d_cmap, n_coarse,
                     n_threads, opts.merge_strategy, opts.merge_impl,
                     copy_out=copy_out,
                 )
@@ -297,24 +296,11 @@ def run_hybrid(
         if outcome.fell_back_to_sort:
             merge_fallbacks += 1
             trace.note(f"level {level_idx}: hash tables too large, used sort merge")
-        trace.levels.append(
-            LevelRecord(
-                level=level_idx,
-                num_vertices=nv,
-                num_edges=current.graph.num_edges,
-                matched_pairs=mstats.pairs,
-                conflicts=mstats.conflicts,
-                self_matches=mstats.self_matches,
-                engine="gpu",
-            )
+        ladder.add(
+            outcome.coarse, d_cmap.data, engine="gpu", conflicts=mstats.conflicts
         )
-        current.d_cmap = d_cmap
-        gpu_levels.append(current)
-        shrink = 1.0 - outcome.coarse.num_vertices / nv
-        current = GpuLevel(graph=outcome.coarse, d_csr=outcome.d_coarse)
-        level_idx += 1
-        if shrink < MIN_SHRINK:
-            break
+        gpu_levels.append(GpuLevel(graph=current, d_csr=d_csr, d_cmap=d_cmap))
+        d_csr = outcome.d_coarse
 
     # ------------------------------------------------------------------
     # 3. Device -> host; CPU coarsening + initial partitioning + CPU
@@ -327,7 +313,7 @@ def run_hybrid(
             # contraction (set_phase synchronized the streams above).
             continue
         try:
-            d2h(current.d_csr[name], machine.interconnect, label=f"coarse.{name}")
+            d2h(d_csr[name], machine.interconnect, label=f"coarse.{name}")
         except TransferError as exc:
             # The CPU stage owns a host mirror of every array, so a dead
             # D2H link costs only the failed attempts' time.
@@ -338,11 +324,8 @@ def run_hybrid(
 
     clock.set_phase("coarsening-cpu")
     cpu_levels, coarsest = mt.coarsen(
-        current.graph, k, pool, trace, rng, target=opts.coarsen_target(k)
+        ladder.coarsest, k, pool, trace, rng, level_offset=len(gpu_levels)
     )
-    for rec in trace.levels:
-        if rec.engine == "cpu-threads":
-            rec.level += level_idx
 
     clock.set_phase("initpart")
     part, crit_work = parallel_recursive_bisection(
@@ -359,7 +342,9 @@ def run_hybrid(
     )
 
     clock.set_phase("uncoarsening-cpu")
-    part = mt.uncoarsen(cpu_levels, part, k, pool, trace, level_offset=level_idx)
+    part = mt.uncoarsen(
+        cpu_levels, part, k, pool, trace, level_offset=len(gpu_levels)
+    )
 
     # ------------------------------------------------------------------
     # 4. Host -> device; GPU projection + refinement down the fine levels.
@@ -392,7 +377,6 @@ def run_hybrid(
                 n_threads = threads_for_items(
                     level.graph.num_vertices, MAX_GPU_THREADS
                 )
-                assert level.d_cmap is not None
                 projected = False
                 try:
                     with clock_span(
@@ -520,7 +504,6 @@ def _host_uncoarsen(part, gpu_levels, start, clock, machine) -> np.ndarray:
     """
     for lj in range(start, -1, -1):
         level = gpu_levels[lj]
-        assert level.d_cmap is not None
         part = project_partition(part, np.asarray(level.d_cmap.data))
         nv = level.graph.num_vertices
         clock.charge(

@@ -33,6 +33,7 @@ from ...gpusim.memory import AccessPattern, DeviceArray
 from ...gpusim.sort import charge_thread_quicksort
 from ...mtmetis.refinement import (
     SubIterationStats,
+    balance_rounds,
     commit_moves,
     propose_balance_moves,
     propose_moves,
@@ -150,14 +151,7 @@ def gpu_refine_level(
             break
 
     # Level-exit balance rounds, mirroring the CPU engine's guarantee.
-    guard = 0
-    while pweights.max(initial=0.0) > max_pw and guard < k:
-        vs, ds, gs, stats = propose_balance_moves(graph, part, k, pweights, max_pw)
-        before = part[vs].copy() if vs.size else np.empty(0, np.int64)
-        commit_moves(
-            graph, part, pweights, vs, ds, gs, k, max_pw, stats, recheck_gains=False
-        )
-        moved = vs[part[vs] != before] if vs.size else vs
+    for _, _, moved, stats in balance_rounds(graph, part, pweights, k, max_pw, k):
         with dev.kernel("uncoarsen.balance", n_threads=n_threads) as kk:
             kk.compute_divergent(
                 stats.boundary_degrees.astype(np.float64)
@@ -167,9 +161,6 @@ def gpu_refine_level(
             if moved.size:
                 kk.scatter(d_part, moved, part[moved])
         all_stats.append(stats)
-        guard += 1
-        if stats.committed == 0:
-            break
 
     d_buffers.free()
     d_counters.free()

@@ -27,12 +27,12 @@ from ..parmetis.distgraph import DistGraph
 from ..parmetis.matching import distributed_match
 from ..runtime.clock import SimClock
 from ..runtime.mpi import MpiSim
-from ..runtime.trace import LevelRecord, RefinementRecord, Trace
-from ..serial.coarsen import CoarseningLevel
+from ..runtime.trace import RefinementRecord, Trace
+from ..serial.coarsen import CoarseningLadder
 from ..serial.contraction import contract
 from ..serial.kway import final_rebalance
 from ..serial.matching import check_scheme, sequential_match
-from ..mtmetis.refinement import commit_moves, propose_balance_moves
+from ..mtmetis.refinement import balance_rounds
 from ..serial.project import project_partition
 from .interface import FM_PASSES, refine_interfaces
 
@@ -117,12 +117,11 @@ class Jostle(Engine):
         # ~k vertices.
         # --------------------------------------------------------------
         clock.set_phase("coarsening")
-        levels: list[CoarseningLevel] = []
-        current = graph
-        level_idx = 0
-        target = COARSEN_TO_FACTOR * k
+        ladder = CoarseningLadder(
+            graph, COARSEN_TO_FACTOR * k, trace, min_shrink=MIN_SHRINK
+        )
         broadcast_done = False
-        while current.num_vertices > target:
+        for level_idx, current in ladder:
             avg_deg = 2 * current.num_edges / max(1, current.num_vertices)
             if not broadcast_done and current.num_vertices <= opts.broadcast_threshold:
                 mpi.allgather(
@@ -132,43 +131,28 @@ class Jostle(Engine):
                 broadcast_done = True
             if broadcast_done:
                 mres = sequential_match(current, opts.matching, rng)
-                match, pairs, selfm = mres.match, mres.pairs, 0
+                match = mres.match
                 per_rank = np.zeros(mpi.num_ranks)
                 per_rank[0] = mres.edge_scans  # replicated: every rank does it
                 mpi.compute(per_rank, detail=f"replicated match L{level_idx}",
                             avg_degree=avg_deg)
             else:
                 dist = DistGraph.distribute(current, opts.num_ranks)
-                match, mstats = distributed_match(
-                    dist, mpi, scheme=opts.matching, rng=rng
-                )
-                pairs, selfm = mstats.pairs, mstats.self_matches
+                match, _ = distributed_match(dist, mpi, scheme=opts.matching, rng=rng)
             coarse, cmap = contract(current, match)
-            trace.levels.append(
-                LevelRecord(
-                    level=level_idx,
-                    num_vertices=current.num_vertices,
-                    num_edges=current.num_edges,
-                    matched_pairs=pairs,
-                    self_matches=selfm,
-                    engine="mpi-replicated" if broadcast_done else "mpi",
-                )
+            ladder.add(
+                coarse, cmap, engine="mpi-replicated" if broadcast_done else "mpi"
             )
-            shrink = 1.0 - coarse.num_vertices / current.num_vertices
-            levels.append(CoarseningLevel(graph=current, cmap=cmap))
-            current = coarse
-            level_idx += 1
-            if shrink < MIN_SHRINK:
-                break
+        levels, coarsest = ladder.levels, ladder.coarsest
 
         # --------------------------------------------------------------
         # Trivial initial partitioning: coarse vertices dealt to the k
         # partitions, heaviest first to the lightest partition.
         # --------------------------------------------------------------
         clock.set_phase("initpart")
-        part = self._trivial_assignment(current, k)
+        part = self._trivial_assignment(coarsest, k)
         mpi.compute_vertices(
-            np.full(mpi.num_ranks, current.num_vertices / mpi.num_ranks),
+            np.full(mpi.num_ranks, coarsest.num_vertices / mpi.num_ranks),
             detail="trivial initpart",
         )
 
@@ -214,19 +198,9 @@ class Jostle(Engine):
             pweights = np.bincount(
                 part, weights=level.graph.vwgt.astype(np.float64), minlength=k
             )
-            ideal_l = level.graph.total_vertex_weight / k
-            guard = 0
-            while pweights.max(initial=0.0) > opts.ubfactor * ideal_l and guard < k:
-                vs, ds, gs, bstats = propose_balance_moves(
-                    level.graph, part, k, pweights, opts.ubfactor * ideal_l
-                )
-                commit_moves(
-                    level.graph, part, pweights, vs, ds, gs, k,
-                    opts.ubfactor * ideal_l, bstats, recheck_gains=False,
-                )
-                guard += 1
-                if bstats.committed == 0:
-                    break
+            max_pw = opts.ubfactor * (level.graph.total_vertex_weight / k)
+            for _ in balance_rounds(level.graph, part, pweights, k, max_pw, k):
+                pass
             trace.refinements.append(
                 RefinementRecord(
                     level=li, pass_index=0,

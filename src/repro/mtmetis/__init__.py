@@ -5,7 +5,13 @@ from .initpart import parallel_recursive_bisection
 from .matching import LockfreeMatchStats, batch_candidates, lockfree_match
 from .options import MtMetisOptions
 from .partitioner import MtMetis
-from .refinement import SubIterationStats, commit_moves, propose_moves, refine_level
+from .refinement import (
+    SubIterationStats,
+    balance_rounds,
+    commit_moves,
+    propose_moves,
+    refine_level,
+)
 
 __all__ = [
     "MtMetis",
@@ -18,5 +24,6 @@ __all__ = [
     "refine_level",
     "propose_moves",
     "commit_moves",
+    "balance_rounds",
     "SubIterationStats",
 ]

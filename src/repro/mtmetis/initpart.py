@@ -16,10 +16,10 @@ from __future__ import annotations
 import numpy as np
 
 from ..graphs.csr import CSRGraph
-from ..serial.bisection import recursive_bisection
+from ..serial.bisection import bisection_sweeps, recursive_bisection
 from ..serial.fm import fm_refine_bisection
 from ..serial.gggp import gggp_bisect
-from ..serial.options import FM_PASSES, GGGP_TRIALS, SerialOptions
+from ..serial.options import FM_PASSES, SerialOptions
 
 __all__ = ["parallel_recursive_bisection"]
 
@@ -69,10 +69,7 @@ def parallel_recursive_bisection(
         return np.zeros(n, dtype=np.int64), 0.0
     if num_threads <= 1:
         labels = recursive_bisection(graph, k, opts, rng=rng)
-        sweeps = (GGGP_TRIALS + FM_PASSES) * max(
-            1, int(np.ceil(np.log2(max(k, 2))))
-        )
-        return labels, float(sweeps * graph.num_directed_edges)
+        return labels, float(bisection_sweeps(k) * graph.num_directed_edges)
     if n < k:
         return np.arange(n, dtype=np.int64) % k, float(n)
 

@@ -21,10 +21,9 @@ from ..graphs.metrics import edge_cut
 from ..obs.spans import clock_span
 from ..runtime.clock import SimClock
 from ..runtime.threads import ThreadPoolSim, block_ownership
-from ..runtime.trace import LevelRecord, RefinementRecord, Trace
-from ..serial.coarsen import CoarseningLevel
+from ..runtime.trace import RefinementRecord, Trace
+from ..serial.coarsen import CoarseningLadder, CoarseningLevel
 from ..serial.kway import final_rebalance
-from ..serial.options import MIN_SHRINK
 from ..serial.project import project_partition
 from .contraction import threaded_contract
 from .initpart import parallel_recursive_bisection
@@ -53,15 +52,15 @@ class MtMetis(Engine):
         pool: ThreadPoolSim,
         trace: Trace,
         rng: np.random.Generator,
-        target: int | None = None,
+        level_offset: int = 0,
     ) -> tuple[list[CoarseningLevel], CSRGraph]:
-        """The threaded coarsening loop (also reused by GP-metis's CPU stage)."""
+        """The threaded coarsening loop (also reused by GP-metis's CPU
+        stage, whose level records continue its GPU levels' numbering)."""
         opts = self.options
-        target = target if target is not None else opts.coarsen_target(k)
-        levels: list[CoarseningLevel] = []
-        current = graph
-        level_idx = 0
-        while current.num_vertices > target:
+        ladder = CoarseningLadder(
+            graph, opts.coarsen_target(k), trace, level_offset=level_offset
+        )
+        for level_idx, current in ladder:
             ownership = block_ownership(current.num_vertices, opts.num_threads)
 
             def batch_maker(items, _own=ownership):
@@ -91,25 +90,9 @@ class MtMetis(Engine):
                 pool.parallel_vertex_work(
                     np.ones(current.num_vertices), ownership, detail="match.resolve"
                 )
-                coarse, _cmap = threaded_contract(current, match, pool, ownership)
-            trace.levels.append(
-                LevelRecord(
-                    level=level_idx,
-                    num_vertices=current.num_vertices,
-                    num_edges=current.num_edges,
-                    matched_pairs=mstats.pairs,
-                    conflicts=mstats.conflicts,
-                    self_matches=mstats.self_matches,
-                    engine="cpu-threads",
-                )
-            )
-            shrink = 1.0 - coarse.num_vertices / current.num_vertices
-            levels.append(CoarseningLevel(graph=current, cmap=_cmap))
-            current = coarse
-            level_idx += 1
-            if shrink < MIN_SHRINK:
-                break
-        return levels, current
+                coarse, cmap = threaded_contract(current, match, pool, ownership)
+            ladder.add(coarse, cmap, engine="cpu-threads", conflicts=mstats.conflicts)
+        return ladder.levels, ladder.coarsest
 
     # ------------------------------------------------------------------
     def uncoarsen(

@@ -27,6 +27,7 @@ supplies via the returned statistics.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Iterator
 
 import numpy as np
 
@@ -40,6 +41,7 @@ __all__ = [
     "propose_moves",
     "propose_balance_moves",
     "commit_moves",
+    "balance_rounds",
     "refine_level",
 ]
 
@@ -280,6 +282,37 @@ def propose_balance_moves(
     return verts, dests, gains, stats
 
 
+def balance_rounds(
+    graph: CSRGraph,
+    part: np.ndarray,
+    pweights: np.ndarray,
+    k: int,
+    max_pweight: float,
+    max_rounds: int,
+) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray, SubIterationStats]]:
+    """Evacuate overweight partitions, one balancing round at a time.
+
+    Each round proposes balancing moves and commits them without a gain
+    recheck, updating ``part`` and ``pweights`` in place, then yields
+    ``(vertices, destinations, moved, stats)``: the proposals, the
+    vertices that did move, and the round's statistics, for the caller
+    to charge.  The rounds stop once no partition is overweight, after a
+    round that commits nothing, or after ``max_rounds`` rounds.
+    """
+    for _ in range(max_rounds):
+        if pweights.max(initial=0.0) <= max_pweight:
+            return
+        vs, ds, gs, stats = propose_balance_moves(graph, part, k, pweights, max_pweight)
+        before = part[vs]
+        commit_moves(
+            graph, part, pweights, vs, ds, gs, k, max_pweight, stats,
+            recheck_gains=False,
+        )
+        yield vs, ds, vs[part[vs] != before], stats
+        if stats.committed == 0:
+            return
+
+
 def refine_level(
     graph: CSRGraph,
     part: np.ndarray,
@@ -322,14 +355,6 @@ def refine_level(
     # Level-exit balance guarantee: keep evacuating while any partition is
     # overweight and progress is possible, so the finest level never needs
     # a quality-destroying global rebalance.
-    guard = 0
-    while pweights.max(initial=0.0) > max_pw and guard < k:
-        vs, ds, gs, stats = propose_balance_moves(graph, part, k, pweights, max_pw)
-        commit_moves(
-            graph, part, pweights, vs, ds, gs, k, max_pw, stats, recheck_gains=False
-        )
+    for *_, stats in balance_rounds(graph, part, pweights, k, max_pw, k):
         all_stats.append(stats)
-        guard += 1
-        if stats.committed == 0:
-            break
     return part, all_stats

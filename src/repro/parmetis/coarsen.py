@@ -13,10 +13,9 @@ import numpy as np
 
 from ..obs.spans import clock_span
 from ..runtime.mpi import MpiSim
-from ..runtime.trace import LevelRecord, Trace
-from ..serial.coarsen import CoarseningLevel
+from ..runtime.trace import Trace
+from ..serial.coarsen import CoarseningLadder, CoarseningLevel
 from ..serial.contraction import contract
-from ..serial.options import MIN_SHRINK
 from .distgraph import DistGraph
 from .matching import distributed_match
 from .options import ParMetisOptions
@@ -33,28 +32,23 @@ def distributed_coarsen(
     rng: np.random.Generator,
 ) -> tuple[list[CoarseningLevel], DistGraph]:
     """Coarsen the distributed graph down to the initial-partitioning size."""
-    target = opts.coarsen_target(k)
-    levels: list[CoarseningLevel] = []
-    current = dist
-    level_idx = 0
-    while current.graph.num_vertices > target:
+    ladder = CoarseningLadder(dist.graph, opts.coarsen_target(k), trace)
+    for level_idx, graph in ladder:
+        # Each rung is block-distributed afresh (bookkeeping only: no charge).
+        current = DistGraph.distribute(graph, dist.num_ranks)
         with clock_span(
             mpi.clock, f"level {level_idx}", category="level",
-            engine="mpi", num_vertices=current.graph.num_vertices,
+            engine="mpi", num_vertices=graph.num_vertices,
         ):
-            match, mstats = distributed_match(
-                current, mpi, scheme=opts.matching, rng=rng
-            )
+            match, _ = distributed_match(current, mpi, scheme=opts.matching, rng=rng)
             # Adjacency migration for cross-rank pairs: the higher-id
             # endpoint's list moves to the lower-id endpoint's owner (8 B
             # per arc entry x 2 for the id+weight pair).
-            ids = np.arange(current.graph.num_vertices, dtype=np.int64)
+            ids = np.arange(graph.num_vertices, dtype=np.int64)
             cross = (match > ids) & (current.rank_of[ids] != current.rank_of[match])
             if np.any(cross):
                 movers = match[cross]  # vertices whose lists migrate
-                deg = (
-                    current.graph.adjp[movers + 1] - current.graph.adjp[movers]
-                ).astype(np.float64)
+                deg = (graph.adjp[movers + 1] - graph.adjp[movers]).astype(np.float64)
                 mpi.exchange(
                     current.rank_of[movers],
                     current.rank_of[ids[cross]],
@@ -68,25 +62,9 @@ def distributed_coarsen(
             ).astype(np.float64)
             mpi.compute(
                 per_rank, detail=f"contract L{level_idx}",
-                avg_degree=2 * current.graph.num_edges
-                / max(1, current.graph.num_vertices),
+                avg_degree=2 * graph.num_edges / max(1, graph.num_vertices),
             )
 
-            coarse_graph, cmap = contract(current.graph, match)
-        trace.levels.append(
-            LevelRecord(
-                level=level_idx,
-                num_vertices=current.graph.num_vertices,
-                num_edges=current.graph.num_edges,
-                matched_pairs=mstats.pairs,
-                self_matches=mstats.self_matches,
-                engine="mpi",
-            )
-        )
-        shrink = 1.0 - coarse_graph.num_vertices / current.graph.num_vertices
-        levels.append(CoarseningLevel(graph=current.graph, cmap=cmap))
-        current = DistGraph.distribute(coarse_graph, current.num_ranks)
-        level_idx += 1
-        if shrink < MIN_SHRINK:
-            break
-    return levels, current
+            coarse_graph, cmap = contract(graph, match)
+        ladder.add(coarse_graph, cmap, engine="mpi")
+    return ladder.levels, DistGraph.distribute(ladder.coarsest, dist.num_ranks)

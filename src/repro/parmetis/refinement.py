@@ -16,7 +16,12 @@ from __future__ import annotations
 import numpy as np
 
 from ..graphs.metrics import edge_cut
-from ..mtmetis.refinement import commit_moves, propose_balance_moves, propose_moves
+from ..mtmetis.refinement import (
+    balance_rounds,
+    commit_moves,
+    propose_balance_moves,
+    propose_moves,
+)
 from ..runtime.mpi import MpiSim
 from ..runtime.trace import RefinementRecord, Trace
 from .distgraph import DistGraph
@@ -101,18 +106,10 @@ def distributed_refine_level(
         if pass_committed == 0:
             break
     # Level-exit balance supersteps, as in the shared-memory engine.
-    guard = 0
-    while pweights.max(initial=0.0) > max_pw and guard < k:
-        vs, ds, gs, stats = propose_balance_moves(graph, part, k, pweights, max_pw)
-        commit_moves(
-            graph, part, pweights, vs, ds, gs, k, max_pw, stats, recheck_gains=False
-        )
+    for vs, ds, _, _ in balance_rounds(graph, part, pweights, k, max_pw, k):
         if vs.size:
             mpi.exchange(
                 dist.rank_of[vs], (ds % dist.num_ranks).astype(np.int64),
                 np.full(vs.shape[0], 24.0), detail=f"balance moves L{level_idx}",
             )
-        guard += 1
-        if stats.committed == 0:
-            break
     return part

@@ -18,12 +18,12 @@ from ..graphs.metrics import edge_cut
 from ..parmetis.distgraph import DistGraph
 from ..runtime.clock import SimClock
 from ..runtime.mpi import MpiSim
-from ..runtime.trace import LevelRecord, RefinementRecord, Trace
-from ..serial.bisection import recursive_bisection
-from ..serial.coarsen import CoarseningLevel
+from ..runtime.trace import RefinementRecord, Trace
+from ..serial.bisection import bisection_sweeps, recursive_bisection
+from ..serial.coarsen import CoarseningLadder
 from ..serial.contraction import contract
 from ..serial.kway import final_rebalance
-from ..serial.options import FM_PASSES, GGGP_TRIALS, MIN_SHRINK, MultilevelOptions
+from ..serial.options import MultilevelOptions
 from ..serial.project import project_partition
 from .band import band_refine
 from .folding import FoldState, fold, should_fold
@@ -65,17 +65,12 @@ class PTScotch(Engine):
         # Coarsening with Monte-Carlo matching + folding.
         # --------------------------------------------------------------
         clock.set_phase("coarsening")
-        levels: list[CoarseningLevel] = []
-        current = graph
         state = FoldState(group_size=opts.num_ranks)
         folds = 0
-        level_idx = 0
-        target = opts.coarsen_target(k)
-        while current.num_vertices > target:
+        ladder = CoarseningLadder(graph, opts.coarsen_target(k), trace)
+        for level_idx, current in ladder:
             dist = DistGraph.distribute(current, max(1, state.group_size))
-            match, mstats = montecarlo_match(
-                dist, mpi, scheme=opts.matching, rng=rng
-            )
+            match, _ = montecarlo_match(dist, mpi, scheme=opts.matching, rng=rng)
             coarse, cmap = contract(current, match)
             per_rank = np.bincount(
                 dist.arcs_src_rank(), minlength=dist.num_ranks
@@ -85,25 +80,11 @@ class PTScotch(Engine):
             )
             mpi.compute(mpi_sub, detail=f"contract L{level_idx}",
                         avg_degree=2 * current.num_edges / max(1, current.num_vertices))
-            trace.levels.append(
-                LevelRecord(
-                    level=level_idx,
-                    num_vertices=current.num_vertices,
-                    num_edges=current.num_edges,
-                    matched_pairs=mstats.pairs,
-                    self_matches=mstats.self_matches,
-                    engine=f"mpi-fold{state.generation}",
-                )
-            )
-            shrink = 1.0 - coarse.num_vertices / current.num_vertices
-            levels.append(CoarseningLevel(graph=current, cmap=cmap))
-            current = coarse
-            level_idx += 1
-            if should_fold(current, state, opts.fold_threshold):
-                state = fold(current, state, mpi)
+            ladder.add(coarse, cmap, engine=f"mpi-fold{state.generation}")
+            if should_fold(coarse, state, opts.fold_threshold):
+                state = fold(coarse, state, mpi)
                 folds += 1
-            if shrink < MIN_SHRINK:
-                break
+        coarsest = ladder.coarsest
 
         # --------------------------------------------------------------
         # Per-rank serial RB; elect the best initial partition.
@@ -114,28 +95,26 @@ class PTScotch(Engine):
         trials = max(1, opts.num_ranks >> state.generation) if state.generation else opts.num_ranks
         for t in range(min(trials, opts.num_ranks)):
             cand = recursive_bisection(
-                current, k, opts.serial_options(),
+                coarsest, k, opts.serial_options(),
                 rng=np.random.default_rng(opts.seed + 101 * t),
             )
-            cut = edge_cut(current, cand)
+            cut = edge_cut(coarsest, cand)
             if best_cut is None or cut < best_cut:
                 best_cut, best_part = cut, cand
         assert best_part is not None
         part = best_part
-        sweeps = GGGP_TRIALS + FM_PASSES
-        depth = max(1, int(np.ceil(np.log2(max(k, 2)))))
         per_rank = np.zeros(mpi.num_ranks)
-        per_rank[0] = sweeps * depth * current.num_directed_edges
+        per_rank[0] = bisection_sweeps(k) * coarsest.num_directed_edges
         mpi.compute(per_rank, detail="per-rank serial RB",
-                    avg_degree=2 * current.num_edges / max(1, current.num_vertices))
+                    avg_degree=2 * coarsest.num_edges / max(1, coarsest.num_vertices))
         mpi.allreduce(detail="initpart best-cut election")
 
         # --------------------------------------------------------------
         # Uncoarsening with banded refinement.
         # --------------------------------------------------------------
         clock.set_phase("uncoarsening")
-        for li in range(len(levels) - 1, -1, -1):
-            level = levels[li]
+        for li in range(len(ladder.levels) - 1, -1, -1):
+            level = ladder.levels[li]
             part = project_partition(part, level.cmap)
             cut_before = edge_cut(level.graph, part)
             part, band_size = band_refine(

@@ -1,7 +1,7 @@
 """Serial multilevel partitioner (Metis baseline)."""
 
-from .bisection import bisect_once, recursive_bisection
-from .coarsen import CoarseningLevel, coarsen_graph
+from .bisection import bisect_once, bisection_sweeps, recursive_bisection
+from .coarsen import CoarseningLadder, CoarseningLevel, coarsen_graph
 from .contraction import build_cmap, contract
 from .fm import FMResult, bisection_gains, fm_refine_bisection
 from .gggp import gggp_bisect, grow_region
@@ -26,6 +26,7 @@ __all__ = [
     "match_is_valid",
     "build_cmap",
     "contract",
+    "CoarseningLadder",
     "CoarseningLevel",
     "coarsen_graph",
     "gggp_bisect",
@@ -35,6 +36,7 @@ __all__ = [
     "bisection_gains",
     "recursive_bisection",
     "bisect_once",
+    "bisection_sweeps",
     "KwayPassResult",
     "connectivity_to",
     "kway_connectivity",

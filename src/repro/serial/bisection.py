@@ -16,7 +16,16 @@ from .fm import fm_refine_bisection
 from .gggp import gggp_bisect
 from .options import FM_PASSES, GGGP_TRIALS, SerialOptions
 
-__all__ = ["recursive_bisection", "bisect_once"]
+__all__ = ["recursive_bisection", "bisect_once", "bisection_sweeps"]
+
+
+def bisection_sweeps(k: int) -> int:
+    """Whole-graph sweeps that recursive bisection into k parts costs.
+
+    Each of the ceil(log2 k) tree levels sweeps the graph once per GGGP
+    trial and once per FM pass of :func:`bisect_once`.
+    """
+    return (GGGP_TRIALS + FM_PASSES) * max(1, int(np.ceil(np.log2(max(k, 2)))))
 
 
 def bisect_once(

@@ -16,10 +16,10 @@ from ..graphs.csr import CSRGraph
 from ..graphs.metrics import edge_cut
 from ..runtime.clock import SimClock
 from ..runtime.trace import RefinementRecord, Trace
-from .bisection import recursive_bisection
+from .bisection import bisection_sweeps, recursive_bisection
 from .coarsen import coarsen_graph
 from .kway import kway_refine
-from .options import FM_PASSES, GGGP_TRIALS, SerialOptions
+from .options import SerialOptions
 from .project import project_partition
 
 __all__ = ["SerialMetis"]
@@ -50,10 +50,7 @@ class SerialMetis(Engine):
         # Phase 2: initial partitioning on the coarsest graph.
         clock.set_phase("initpart")
         part = recursive_bisection(coarsest, k, opts, rng=rng)
-        # Recursive bisection cost: each of the log2(k) tree levels sweeps
-        # the whole coarsest graph a constant number of times (GGGP trials
-        # + FM passes).
-        sweeps = (GGGP_TRIALS + FM_PASSES) * max(1, int(np.ceil(np.log2(max(k, 2)))))
+        sweeps = bisection_sweeps(k)
         bisect_sec = self.machine.cpu.edge_seconds(
             sweeps * coarsest.num_directed_edges,
             avg_degree=2 * coarsest.num_edges / max(1, coarsest.num_vertices),

@@ -70,27 +70,6 @@ class TestParmetisInternals:
         assert res.extras["supersteps"] < 400
 
 
-class TestSerialCoarsenLabels:
-    def test_engine_label_propagates(self):
-        from repro.runtime.trace import Trace
-        from repro.serial.coarsen import coarsen_graph
-        from repro.serial.options import SerialOptions
-
-        g = delaunay(900, seed=3)
-        trace = Trace()
-        coarsen_graph(g, 4, SerialOptions(), trace=trace, engine_label="custom")
-        assert trace.levels
-        assert all(r.engine == "custom" for r in trace.levels)
-
-    def test_explicit_target_overrides_options(self):
-        from repro.serial.coarsen import coarsen_graph
-        from repro.serial.options import SerialOptions
-
-        g = delaunay(900, seed=3)
-        _, coarsest = coarsen_graph(g, 4, SerialOptions(), target=400)
-        assert coarsest.num_vertices <= 2 * 400
-
-
 class TestExperimentConfigVariants:
     def test_method_subset(self):
         from repro.bench import ExperimentConfig, run_experiment
