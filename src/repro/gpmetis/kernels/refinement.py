@@ -78,9 +78,10 @@ def gpu_refine_level(
         # "In the first refinement kernel, the vertices in the finer graph
         # are distributed among the threads and each thread determines the
         # boundary vertices ... Then it finds the best destination
-        # partition for migration of each boundary vertex" — one boundary
-        # sweep and one connectivity per refinement pass, from the
-        # pass-start snapshot, serve both direction sub-iterations.
+        # partition for migration of each boundary vertex" — one label
+        # sweep per refinement pass finds the boundary and its
+        # connectivity from the pass-start snapshot, and serves both
+        # direction sub-iterations.
         up, down = propose_moves(graph, part, k, (+1, -1), pweights, max_pw, min_pw)
         proposals = {+1: up, -1: down}
         with dev.kernel("uncoarsen.boundary_gain", n_threads=n_threads) as kk:

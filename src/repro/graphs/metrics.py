@@ -21,6 +21,7 @@ __all__ = [
     "imbalance",
     "is_balanced",
     "boundary_vertices",
+    "boundary_from_labels",
     "communication_volume",
     "PartitionQuality",
     "evaluate_partition",
@@ -40,8 +41,7 @@ def _check_part(graph: CSRGraph, part: np.ndarray) -> np.ndarray:
 def edge_cut(graph: CSRGraph, part: np.ndarray) -> int:
     """Total weight of edges whose endpoints are in different partitions."""
     part = _check_part(graph, part)
-    src = graph.source_array()
-    cut_arcs = part[src] != part[graph.adjncy]
+    cut_arcs = np.repeat(part, graph.degrees()) != part[graph.adjncy]
     return int(graph.adjwgt[cut_arcs].sum()) // 2
 
 
@@ -73,11 +73,26 @@ def is_balanced(graph: CSRGraph, part: np.ndarray, k: int, ubfactor: float = 1.0
 def boundary_vertices(graph: CSRGraph, part: np.ndarray) -> np.ndarray:
     """Vertices with at least one neighbor in a different partition."""
     part = _check_part(graph, part)
-    src = graph.source_array()
-    ext = part[src] != part[graph.adjncy]
-    marks = np.zeros(graph.num_vertices, dtype=bool)
-    marks[src[ext]] = True
-    return np.flatnonzero(marks)
+    return boundary_from_labels(graph, part, part[graph.adjncy])
+
+
+def boundary_from_labels(
+    graph: CSRGraph, part: np.ndarray, nbr: np.ndarray
+) -> np.ndarray:
+    """:func:`boundary_vertices`, ascending, from the neighbor labels
+    ``nbr = part[graph.adjncy]`` a caller has already gathered.
+
+    The test reads labels only, so an arc of weight 0 still puts its
+    endpoints on the boundary.  Its arc-length temporaries are freed on
+    return.
+    """
+    deg = graph.degrees()
+    ext = np.repeat(part, deg) != nbr
+    rows = np.flatnonzero(deg)
+    if rows.size == 0:
+        return rows
+    # Only rows with arcs: reduceat needs strictly increasing offsets.
+    return rows[np.logical_or.reduceat(ext, graph.adjp[rows])]
 
 
 def communication_volume(graph: CSRGraph, part: np.ndarray, k: int) -> int:

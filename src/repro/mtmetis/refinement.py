@@ -33,7 +33,6 @@ import numpy as np
 
 from .._segments import segmented_argmax
 from ..graphs.csr import CSRGraph
-from ..graphs.metrics import boundary_vertices
 from ..serial.kway import connectivity_to, kway_connectivity
 
 __all__ = [
@@ -79,14 +78,14 @@ def propose_moves(
 
     Returns ``(vertices, destinations, gains, stats)`` of the proposals.
     ``direction=+1`` permits only moves to higher partition ids, ``-1``
-    only lower.  Given a tuple of directions, one boundary sweep and one
-    connectivity serve them all, and the result is a list with one such
+    only lower.  Given a tuple of directions, one label sweep
+    (:func:`~repro.serial.kway.kway_connectivity`: the boundary and its
+    connectivity) serves them all, and the result is a list with one such
     proposal per direction, each as if proposed alone on this snapshot.
     """
     directions = direction if isinstance(direction, tuple) else (direction,)
-    boundary = boundary_vertices(graph, part)
+    boundary, rows, parts, weights = kway_connectivity(graph, part, k)
     degs = (graph.adjp[boundary + 1] - graph.adjp[boundary]).astype(np.int64)
-    rows, parts, weights = kway_connectivity(graph, part, boundary, k)
     own = part[boundary]
     own_conn = connectivity_to(rows, parts, weights, own)
     own_of_pair = own[rows]
@@ -97,12 +96,15 @@ def propose_moves(
     )
     edge_scans = int(graph.num_directed_edges) + int(degs.sum())
     lens = np.bincount(rows, minlength=boundary.shape[0])
+    # A row without a valid pair (win = -1) reads the appended 0, so its
+    # gain is not positive: it proposes nothing.
+    padded = np.append(weights, 0)
     proposals = []
     for d in directions:
         ahead = parts > own_of_pair if d > 0 else parts < own_of_pair
         win = segmented_argmax(weights, lens, valid=allowed & ahead)
-        gains = weights[win] - own_conn
-        sel = (win >= 0) & (gains > 0)
+        gains = padded[win] - own_conn
+        sel = gains > 0
         stats = SubIterationStats(
             direction=d,
             boundary_size=int(boundary.shape[0]),
@@ -211,14 +213,18 @@ def propose_balance_moves(
     if not np.any(heavy):
         empty = np.empty(0, dtype=np.int64)
         return empty, empty.copy(), empty.copy(), stats
-    boundary = boundary_vertices(graph, part)
-    boundary = boundary[heavy[part[boundary]]]
+    boundary, rows, parts, weights = kway_connectivity(graph, part, k)
+    # Keep the rows of overweight partitions, renumbered in order.
+    mine = heavy[part[boundary]]
+    boundary = boundary[mine]
+    keep = mine[rows]
+    rows = (np.cumsum(mine) - 1)[rows[keep]]
+    parts, weights = parts[keep], weights[keep]
     degs = (graph.adjp[boundary + 1] - graph.adjp[boundary]).astype(np.int64)
     stats.boundary_size = int(boundary.shape[0])
     stats.boundary_degrees = degs
     stats.edge_scans = int(graph.num_directed_edges) + int(degs.sum())
 
-    rows, parts, weights = kway_connectivity(graph, part, boundary, k)
     own = part[boundary]
     vw = graph.vwgt[boundary]
     # Prefer the best-connected destination; among unconnected ones the

@@ -14,9 +14,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .._segments import gather_ranges, segment_ids, segmented_argmax
+from .._segments import segmented_argmax
 from ..graphs.csr import CSRGraph
-from ..graphs.metrics import boundary_vertices, imbalance
+from ..graphs.metrics import boundary_from_labels, imbalance
 
 __all__ = [
     "KwayPassResult",
@@ -38,29 +38,41 @@ class KwayPassResult:
 
 
 def kway_connectivity(
-    graph: CSRGraph, part: np.ndarray, vertices: np.ndarray, k: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    graph: CSRGraph, part: np.ndarray, k: int, vertices: np.ndarray | None = None
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Edge weight from each of ``vertices`` to each partition it touches.
 
-    Returns ``(rows, parts, weights)``, one entry per (vertex, partition)
-    pair with an edge between them, sorted by row and then partition;
-    ``rows`` index ``vertices`` and a vertex without neighbors has no
-    pairs.  Each row's best pair is then ``segmented_argmax(weights,
+    The refinement snapshot kernel, from one gather of neighbor labels
+    ``part[graph.adjncy]``: ``vertices`` defaults to the boundary
+    (:func:`~repro.graphs.metrics.boundary_from_labels`, ascending);
+    given, they must be distinct and may come in any order.  Returns
+    ``(vertices, rows, parts, weights)``, one pair per (vertex,
+    partition) with an edge between them, sorted by row and then
+    partition; ``rows`` index ``vertices`` and a vertex without neighbors
+    has no pairs.  Each row's best pair is then ``segmented_argmax(weights,
     np.bincount(rows, minlength=len(vertices)), valid)``, its first
     maximum being the lowest partition id.  The sums pass through a
-    ``len(vertices) x k`` float64 table and are exact below 2**53 total
-    edge weight.
+    ``(len(vertices) + 1) x k`` float64 table, whose last row absorbs
+    every other vertex's arcs, so time and memory are O(|arcs| +
+    len(vertices) k); the sums are exact below 2**53 total edge weight.
     """
-    lens = graph.adjp[vertices + 1] - graph.adjp[vertices]
-    flat = gather_ranges(graph.adjp[vertices], lens)
-    sums = np.bincount(
-        segment_ids(lens) * k + part[graph.adjncy[flat]],
-        weights=graph.adjwgt[flat],
-    )
-    # Edge weights are positive, so only untouched slots are zero.
-    keys = np.flatnonzero(sums)
+    deg = graph.degrees()
+    nbr = part[graph.adjncy]
+    if vertices is None:
+        vertices = boundary_from_labels(graph, part, nbr)
+    m = vertices.shape[0]
+    base = np.full(graph.num_vertices, m * k, dtype=np.int64)
+    base[vertices] = np.arange(0, m * k, k, dtype=np.int64)
+    key = np.repeat(base, deg)
+    key += nbr
+    del nbr
+    sums = np.bincount(key, weights=graph.adjwgt)[: m * k]
+    del key
+    # Edge weights are positive, so only untouched slots are zero (an arc
+    # of weight 0 yields no pair, though its ends are on the boundary).
+    keys = np.flatnonzero(sums != 0)
     rows, parts = np.divmod(keys, k)
-    return rows, parts, sums[keys].astype(np.int64)
+    return vertices, rows, parts, sums[keys].astype(np.int64)
 
 
 def connectivity_to(
@@ -83,19 +95,19 @@ def kway_refine_pass(
     rng: np.random.Generator,
 ) -> KwayPassResult:
     """One refinement pass; mutates ``part`` and ``pweights`` in place."""
-    boundary = boundary_vertices(graph, part)
+    boundary, rows, parts, weights = kway_connectivity(graph, part, k)
     edge_scans = int(graph.num_directed_edges)
     if boundary.size == 0:
         return KwayPassResult(0, 0, 0, edge_scans)
 
-    rows, parts, weights = kway_connectivity(graph, part, boundary, k)
     own = part[boundary]
-    # A boundary vertex touches another partition, so every row wins.
     win = segmented_argmax(
         weights, np.bincount(rows, minlength=boundary.shape[0]),
         valid=parts != own[rows],
     )
-    best_gain = weights[win] - connectivity_to(rows, parts, weights, own)
+    # A boundary row whose external arcs all weigh 0 has no external pair
+    # (win = -1): it reads the appended 0 and is no candidate.
+    best_gain = np.append(weights, 0)[win] - connectivity_to(rows, parts, weights, own)
     cand = best_gain > 0
     order = np.argsort(-best_gain[cand], kind="stable")
     cand_v = boundary[cand][order]
@@ -151,7 +163,7 @@ def rebalance_pass(
         candidates = np.where(np.isin(part, heavy))[0]
         if candidates.size == 0:
             break
-        rows, parts, weights = kway_connectivity(graph, part, candidates, k)
+        _, rows, parts, weights = kway_connectivity(graph, part, k, candidates)
         own = part[candidates]
         win = segmented_argmax(
             weights, np.bincount(rows, minlength=candidates.shape[0]),

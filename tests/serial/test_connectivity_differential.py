@@ -5,18 +5,58 @@ pick destinations with ``np.argmax`` over masked rows.  The functions
 below are those dense implementations, kept verbatim as the oracle: the
 sparse (vertex, partition) pairs must give the same proposals, moves and
 weights array for array, ties included.
+
+The snapshot kernel ``kway_connectivity`` finds the boundary and its
+pairs from one gather of neighbor labels.  It replaced a boundary sweep
+followed by a second gather of the boundary's arcs; those two functions
+are kept verbatim below as the kernel's own oracle.
 """
+
+import sys
+import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+import repro
 from repro._segments import gather_ranges, segment_ids
-from repro.graphs import from_edges
+from repro.graphs import datasets, from_edges
+from repro.graphs import metrics as graph_metrics
 from repro.graphs.generators import delaunay
+from repro.mtmetis import refinement as mt_refinement
 from repro.mtmetis.refinement import propose_balance_moves, propose_moves
-from repro.serial.kway import KwayPassResult, kway_refine_pass, rebalance_pass
+from repro.serial import kway as serial_kway
+from repro.serial.kway import (
+    KwayPassResult,
+    kway_connectivity,
+    kway_refine_pass,
+    rebalance_pass,
+)
 
 UBFACTOR = 1.03
+
+
+# -- the snapshot kernel's oracle: the former boundary sweep + connectivity --
+def sweep_boundary_vertices(graph, part):
+    src = graph.source_array()
+    ext = part[src] != part[graph.adjncy]
+    marks = np.zeros(graph.num_vertices, dtype=bool)
+    marks[src[ext]] = True
+    return np.flatnonzero(marks)
+
+
+def gather_kway_connectivity(graph, part, vertices, k):
+    lens = graph.adjp[vertices + 1] - graph.adjp[vertices]
+    flat = gather_ranges(graph.adjp[vertices], lens)
+    sums = np.bincount(
+        segment_ids(lens) * k + part[graph.adjncy[flat]],
+        weights=graph.adjwgt[flat],
+    )
+    # Edge weights are positive, so only untouched slots are zero.
+    keys = np.flatnonzero(sums)
+    rows, parts = np.divmod(keys, k)
+    return rows, parts, sums[keys].astype(np.int64)
 
 
 # -- dense oracle ------------------------------------------------------------
@@ -237,27 +277,42 @@ def dense_rebalance_pass(graph, part, pweights, k, max_pweight):
 
 # -- inputs ------------------------------------------------------------------
 N = 80
-KINDS = ("weighted", "isolated", "disconnected", "mesh", "heavy")
+KINDS = (
+    "weighted", "isolated", "disconnected", "mesh", "heavy",
+    "zero", "wide", "isolated-ends",
+)
+#: The vertices "isolated-ends" leaves without edges.
+ENDS = (0, N // 2, N - 1)
 
 
 def make_graph(kind, rng):
     if kind == "mesh":  # unit weights: many equal connectivities
         return delaunay(N, seed=int(rng.integers(1 << 30)))
-    # "isolated": the last 12 vertices have no edges.  "heavy": vertex
-    # weights near 1e12, so the 1e-12 x partition-weight bias of a balance
-    # move outweighs edge connectivity.
+    # "isolated": the last 12 vertices have no edges; "isolated-ends": the
+    # first, a middle and the last one.  "heavy": vertex weights near 1e12,
+    # so the 1e-12 x partition-weight bias of a balance move outweighs
+    # edge connectivity.
     live = N - 12 if kind == "isolated" else N
     edges = rng.integers(0, live, size=(4 * N, 2))
     if kind == "disconnected":
         # Both ends in the same residue class mod 3: three components.
         edges = edges - edges % 3 + edges[:, :1] % 3
         edges = edges[(edges < N).all(axis=1)]
-    return from_edges(
+    if kind == "isolated-ends":
+        edges = edges[~np.isin(edges, ENDS).any(axis=1)]
+    graph = from_edges(
         N,
         edges,
         weights=rng.integers(1, 10, edges.shape[0]),
         vertex_weights=rng.integers(1, 5, N) * (10**12 if kind == "heavy" else 1),
     )
+    if kind == "zero":
+        # Arcs of weight 0, which `from_edges` rejects but the engines
+        # accept: a third of the edges (weights are symmetric).
+        return replace(graph, adjwgt=np.where(graph.adjwgt <= 3, 0, graph.adjwgt))
+    if kind == "wide":
+        return replace(graph, adjwgt=graph.adjwgt << 40)
+    return graph
 
 
 def make_part(graph, k, rng, overweight):
@@ -344,3 +399,163 @@ class TestAgainstDenseOracle:
             assert rebalance_pass(graph, got_part, got_pw, k, cap) == want
             np.testing.assert_array_equal(got_part, want_part)
             np.testing.assert_array_equal(got_pw, want_pw)
+
+
+# -- the snapshot kernel -----------------------------------------------------
+def assert_same_arrays(got, want):
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        assert a.dtype == b.dtype
+        np.testing.assert_array_equal(a, b)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("k", (1, 2, 3, 64, N + 3))
+@pytest.mark.parametrize("seed", (0, 1))
+class TestKernelAgainstSweepAndGather:
+    def state(self, kind, k, seed):
+        rng = np.random.default_rng([seed, k, KINDS.index(kind), 1])
+        graph = make_graph(kind, rng)
+        return graph, rng.integers(0, k, graph.num_vertices), rng
+
+    def test_default_is_the_boundary(self, kind, k, seed):
+        graph, part, _ = self.state(kind, k, seed)
+        boundary = sweep_boundary_vertices(graph, part)
+        want = (boundary, *gather_kway_connectivity(graph, part, boundary, k))
+        assert_same_arrays(kway_connectivity(graph, part, k), want)
+        # The boundary comes from labels: zero-weight arcs count.
+        assert_same_arrays((graph_metrics.boundary_vertices(graph, part),), (boundary,))
+
+    def test_given_vertices_in_any_order(self, kind, k, seed):
+        graph, part, rng = self.state(kind, k, seed)
+        perm = rng.permutation(graph.num_vertices)
+        # Half the vertices, all of them (isolated ones included) and none,
+        # each unsorted; rows index them as given.
+        for vertices in (perm[: N // 2], perm, perm[:0]):
+            want = (vertices, *gather_kway_connectivity(graph, part, vertices, k))
+            assert_same_arrays(kway_connectivity(graph, part, k, vertices), want)
+
+
+def test_kernel_on_an_all_boundary_fe_graph():
+    """A random k = 64 partition of ldoor puts every vertex on the
+    boundary: the snapshot where one sweep saves the most."""
+    graph = datasets.load_dataset("ldoor", scale=0.005, seed=1)
+    part = np.random.default_rng(7).integers(0, 64, graph.num_vertices)
+    boundary = sweep_boundary_vertices(graph, part)
+    assert boundary.size == graph.num_vertices
+    want = (boundary, *gather_kway_connectivity(graph, part, boundary, 64))
+    assert_same_arrays(kway_connectivity(graph, part, 64), want)
+
+
+class TestOneSweepPerSnapshot:
+    """Every refinement snapshot calls the kernel once, through the module
+    bindings perfbench wraps, and never the separate boundary sweep."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        counts = {"kway_connectivity": 0, "boundary_vertices": 0}
+
+        def counting(name, fn):
+            def wrapper(*args, **kwargs):
+                counts[name] += 1
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        for module in (serial_kway, mt_refinement):
+            monkeypatch.setattr(
+                module, "kway_connectivity",
+                counting("kway_connectivity", kway_connectivity),
+            )
+        sweep = graph_metrics.boundary_vertices
+        for name, module in list(sys.modules.items()):
+            if name.startswith("repro") and getattr(module, "boundary_vertices", None) is sweep:
+                monkeypatch.setattr(
+                    module, "boundary_vertices", counting("boundary_vertices", sweep)
+                )
+        return counts
+
+    @pytest.fixture
+    def snapshot(self):
+        rng = np.random.default_rng(11)
+        graph = delaunay(400, seed=11)
+        part = make_part(graph, 8, rng, overweight=True)
+        pweights, max_pw, min_pw = limits(graph, part, 8)
+        assert pweights.max() > max_pw
+        return graph, part, pweights, max_pw, min_pw
+
+    def test_propose_moves(self, calls, snapshot):
+        graph, part, pweights, max_pw, min_pw = snapshot
+        propose_moves(graph, part, 8, (+1, -1), pweights, max_pw, min_pw)
+        assert calls == {"kway_connectivity": 1, "boundary_vertices": 0}
+        propose_moves(graph, part, 8, -1, pweights, max_pw, min_pw)
+        assert calls == {"kway_connectivity": 2, "boundary_vertices": 0}
+
+    def test_propose_balance_moves(self, calls, snapshot):
+        graph, part, pweights, max_pw, _ = snapshot
+        propose_balance_moves(graph, part, 8, pweights, max_pw)
+        assert calls == {"kway_connectivity": 1, "boundary_vertices": 0}
+
+    def test_kway_refine_pass(self, calls, snapshot):
+        graph, part, pweights, max_pw, min_pw = snapshot
+        rng = np.random.default_rng(0)
+        kway_refine_pass(graph, part.copy(), pweights.copy(), 8, max_pw, min_pw, rng)
+        assert calls == {"kway_connectivity": 1, "boundary_vertices": 0}
+
+
+def test_kernel_memory_is_linear_in_arcs_and_boundary_table():
+    """The kernel's transient memory stays O(|arcs| + |boundary| k): a
+    |V| x k float table alone would exceed the bound here."""
+    graph = delaunay(20000, seed=3)
+    k = 64
+    part = repro.partition(graph, k, method="metis", seed=1).part
+    boundary = sweep_boundary_vertices(graph, part)
+    n, arcs = graph.num_vertices, graph.num_directed_edges
+    bound = 4 * 8 * arcs + 2 * 8 * (boundary.size + 1) * k + 4 * 8 * n
+    assert 8 * n * k > bound
+    tracemalloc.start()
+    try:
+        kway_connectivity(graph, part, k)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < bound
+
+
+class TestZeroWeightArcs:
+    """Arcs of weight 0 put their endpoints on the boundary without
+    giving them a (vertex, partition) pair."""
+
+    def test_boundary_row_without_external_pair_is_no_candidate(self):
+        # The path 0 -5- 1 -0- 2 -9- 3, split down the middle: vertex 1 is
+        # on the boundary, but its only external arc weighs 0.
+        graph = from_edges(4, [(0, 1), (1, 2), (2, 3)], weights=[5, 1, 9])
+        graph = replace(graph, adjwgt=np.where(graph.adjwgt == 1, 0, graph.adjwgt))
+        part = np.array([0, 0, 1, 1])
+        pweights = np.array([2.0, 2.0])
+        got_part, got_pw = part.copy(), pweights.copy()
+        want = dense_kway_refine_pass(graph, part, pweights, 2, 4.0, 0.0)
+        got = kway_refine_pass(
+            graph, got_part, got_pw, 2, 4.0, 0.0, np.random.default_rng(0)
+        )
+        assert got == want == KwayPassResult(0, 0, 0, 10)
+        np.testing.assert_array_equal(got_part, part)
+
+    @pytest.mark.parametrize("k", (2, 3, 8))
+    def test_all_arcs_weigh_zero(self, k):
+        # No boundary vertex has a pair at all.
+        graph = delaunay(N, seed=5)
+        graph = replace(graph, adjwgt=np.zeros_like(graph.adjwgt))
+        part = np.arange(N) % k
+        pweights, max_pw, min_pw = limits(graph, part, k)
+        for direction in (+1, -1):
+            got = propose_moves(graph, part, k, direction, pweights, max_pw, min_pw)
+            want = dense_propose_moves(graph, part, k, direction, pweights, max_pw, min_pw)
+            assert_same_proposals(got, want)
+        got_part, got_pw = part.copy(), pweights.copy()
+        want = dense_kway_refine_pass(graph, part, pweights, k, max_pw, min_pw)
+        got = kway_refine_pass(
+            graph, got_part, got_pw, k, max_pw, min_pw, np.random.default_rng(0)
+        )
+        assert got == want
+        np.testing.assert_array_equal(got_part, part)

@@ -16,20 +16,20 @@ from repro.serial.kway import (
 class TestConnectivity:
     def test_pair_values(self, tiny_graph):
         part = np.array([0, 0, 0, 0, 1, 1, 1, 1])
-        rows, parts, weights = kway_connectivity(tiny_graph, part, np.array([0]), 2)
+        _, rows, parts, weights = kway_connectivity(tiny_graph, part, 2, np.array([0]))
         # Vertex 0: w=5 to 1 (part 0), w=1 to 3 (part 0), w=2 to 4 (part 1).
         assert (rows.tolist(), parts.tolist(), weights.tolist()) == ([0, 0], [0, 1], [6, 2])
 
     def test_isolated_vertex_has_no_pairs(self):
         g = from_edges(3, [(0, 1)])
-        pairs = kway_connectivity(g, np.zeros(3, dtype=np.int64), np.array([2]), 2)
+        _, *pairs = kway_connectivity(g, np.zeros(3, dtype=np.int64), 2, np.array([2]))
         assert [a.size for a in pairs] == [0, 0, 0]
 
     @pytest.mark.parametrize("k", [4, 1000])
     def test_sorted_by_row_then_partition(self, medium_graph, k):
         part = np.arange(medium_graph.num_vertices) % k
         vertices = np.array([7, 3, 500, 11])
-        rows, parts, weights = kway_connectivity(medium_graph, part, vertices, k)
+        _, rows, parts, weights = kway_connectivity(medium_graph, part, k, vertices)
         assert np.all(np.diff(rows * k + parts) > 0)
         for r, v in enumerate(vertices):
             nbrs = medium_graph.neighbors(v)

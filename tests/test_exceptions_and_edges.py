@@ -1,5 +1,7 @@
 """Error-taxonomy tests and cross-cutting edge cases (failure injection)."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -145,6 +147,16 @@ class TestDegenerateInputs:
         assert res.part.min() >= 0 and res.part.max() < 9
         # n distinct singleton parts is the best any method can do.
         assert len(set(res.part.tolist())) == 5
+
+    @pytest.mark.parametrize("method", repro.available_methods())
+    def test_all_edge_weights_zero(self, method):
+        """`from_edges` rejects weight 0 but the engines accept it: a graph
+        whose arcs all weigh 0 has a boundary and no (vertex, partition)
+        connectivity pair, and refinement must propose nothing from it."""
+        g = generators.delaunay(400, seed=3)
+        g = replace(g, adjwgt=np.zeros_like(g.adjwgt))
+        res = partition(g, 7, method=method, seed=1)
+        validate_partition(g, res.part, 7)
 
     def test_sanitize_mode_on_degenerate_inputs(self):
         """The sanitizer must cope with launches that record no accesses."""
