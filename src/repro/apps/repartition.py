@@ -24,6 +24,7 @@ from ..exceptions import InvalidParameterError
 from ..graphs.csr import CSRGraph
 from ..graphs.metrics import edge_cut, imbalance
 from ..mtmetis.refinement import balance_rounds, refine_level
+from ..serial.kway import balance_limits
 
 __all__ = ["RepartitionResult", "repartition", "migration_volume"]
 
@@ -55,10 +56,7 @@ def _diffusive(graph: CSRGraph, old: np.ndarray, k: int, ubfactor: float,
     """Rebalance the old partition in place: balance diffusion first,
     then boundary refinement to recover the cut."""
     part = np.asarray(old, dtype=np.int64).copy()
-    total = graph.total_vertex_weight
-    ideal = total / k if k else 0.0
-    max_pw = ubfactor * ideal
-    pweights = np.bincount(part, weights=graph.vwgt.astype(np.float64), minlength=k)
+    pweights, max_pw, _ = balance_limits(graph, part, k, ubfactor)
     for _ in balance_rounds(graph, part, pweights, k, max_pw, 2 * k):
         pass
     part, _ = refine_level(graph, part, k, ubfactor, refine_passes)

@@ -21,7 +21,7 @@ from ..graphs.csr import CSRGraph
 from ..graphs.metrics import edge_cut
 from ..obs.spans import clock_span
 from ..runtime.clock import SimClock
-from ..runtime.trace import RefinementRecord, Trace
+from ..runtime.trace import Trace
 from ..serial.bisection import bisection_sweeps, recursive_bisection
 from ..serial.coarsen import CoarseningLadder
 from ..serial.contraction import contract
@@ -149,15 +149,18 @@ class Gmetis(Engine):
                 engine="galois", num_vertices=level.graph.num_vertices,
             ):
                 part = project_partition(part, level.cmap)
-                cut_before = edge_cut(level.graph, part)
+                cut = edge_cut(level.graph, part)
                 part, passes = kway_refine(
                     level.graph, part, k, ubfactor=opts.ubfactor,
-                    max_passes=opts.refine_passes, rng=rng,
+                    max_passes=opts.refine_passes,
                 )
+                trace.file_steps(li, "galois", cut, passes)
                 # Refinement as speculative loops: boundary iterations lock
                 # their neighborhoods; the abort tax scales with the boundary
                 # connectivity (model it at the measured matching abort rate).
                 for pres in passes:
+                    if pres.balancing:  # the level-start rebalance is not charged
+                        continue
                     clock.charge(
                         "compute",
                         self.machine.cpu.edge_seconds(
@@ -175,17 +178,8 @@ class Gmetis(Engine):
                         count=float(pres.edge_scans),
                         detail=f"refine lock traffic L{li}",
                     )
-                trace.refinements.append(
-                    RefinementRecord(
-                        level=li, pass_index=0,
-                        moves_proposed=sum(p.moves_proposed for p in passes),
-                        moves_committed=sum(p.moves_committed for p in passes),
-                        cut_before=cut_before, cut_after=edge_cut(level.graph, part),
-                        engine="galois",
-                    )
-                )
 
-        final_rebalance(graph, part, k, opts.ubfactor)
+        final_rebalance(graph, part, k, opts.ubfactor, trace, "galois")
         return PhaseOutput(
             part,
             trace,

@@ -71,7 +71,7 @@ from ..obs.spans import clock_span
 from ..runtime.clock import SimClock
 from ..runtime.machine import MachineSpec
 from ..runtime.threads import ThreadPoolSim
-from ..runtime.trace import RefinementRecord, Trace
+from ..runtime.trace import Trace
 from ..serial.coarsen import CoarseningLadder
 from ..serial.kway import final_rebalance
 from ..serial.project import project_partition
@@ -390,13 +390,12 @@ def run_hybrid(
                         d_part.free()
                         d_part = d_fine_part
                         projected = True
-                        cut_before = edge_cut(level.graph, d_part.data)
+                        cut = edge_cut(level.graph, d_part.data)
                         sub_stats = gpu_refine_level(
                             dev, level.d_csr, level.graph, d_part, k,
                             opts.ubfactor, opts.refine_passes, n_threads,
                         )
-                        cut_after = edge_cut(level.graph, d_part.data)
-                        # Host reads the cut between levels: pace the
+                        # The host reads the level's steps back: pace the
                         # compute stream here too.
                         compute_s.synchronize()
                 except RECOVERABLE as exc:
@@ -418,16 +417,7 @@ def run_hybrid(
                     )
                     abandoned = True
                     break
-                for si, st in enumerate(sub_stats):
-                    trace.refinements.append(
-                        RefinementRecord(
-                            level=li, pass_index=si,
-                            moves_proposed=st.proposals,
-                            moves_committed=st.committed,
-                            cut_before=cut_before, cut_after=cut_after,
-                            engine="gpu",
-                        )
-                    )
+                trace.file_steps(li, "gpu", cut, [st.step for st in sub_stats])
 
             if not abandoned:
                 clock.set_phase("transfer")
@@ -456,7 +446,7 @@ def run_hybrid(
     # 5. Final balance guarantee on the host.
     # ------------------------------------------------------------------
     clock.set_phase("uncoarsening-cpu")
-    moves = final_rebalance(graph, part, k, opts.ubfactor)
+    moves = final_rebalance(graph, part, k, opts.ubfactor, trace, "cpu-threads")
     if moves is not None:
         clock.charge(
             "compute",

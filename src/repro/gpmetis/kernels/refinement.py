@@ -38,6 +38,7 @@ from ...mtmetis.refinement import (
     propose_balance_moves,
     propose_moves,
 )
+from ...serial.kway import balance_limits
 
 __all__ = ["gpu_refine_level"]
 
@@ -54,11 +55,7 @@ def gpu_refine_level(
 ) -> list[SubIterationStats]:
     """Refine one level in place on the device; returns per-sub-iter stats."""
     part = d_part.data  # device-resident labels, mutated in place
-    total = graph.total_vertex_weight
-    ideal = total / k if k else 0.0
-    max_pw = ubfactor * ideal
-    min_pw = max(0.0, (2.0 - ubfactor) * ideal)
-    pweights = np.bincount(part, weights=graph.vwgt.astype(np.float64), minlength=k)
+    pweights, max_pw, min_pw = balance_limits(graph, part, k, ubfactor)
     n = graph.num_vertices
     deg = graph.degrees()
     all_stats: list[SubIterationStats] = []
@@ -99,11 +96,8 @@ def gpu_refine_level(
 
         # Sub-iterations: one balancing round when overweight (direction
         # 0), then the two directional rounds (+1, -1).
-        rounds: list[int] = []
-        if pweights.max(initial=0.0) > max_pw:
-            rounds.append(0)
-        rounds += [+1, -1]
-        for direction in rounds:
+        overweight = pweights.max(initial=0.0) > max_pw
+        for direction in (0, +1, -1) if overweight else (+1, -1):
             if direction == 0:
                 vs, ds, gs, stats = propose_balance_moves(
                     graph, part, k, pweights, max_pw

@@ -33,10 +33,9 @@ FM_PASSES = 2
 class InterfaceRoundStats:
     """One conflict-free round of pairwise interface refinements."""
 
-    pairs: list
     region_sizes: list
-    edge_scans: int
-    moves: int
+    moves_tried: int
+    moves_kept: int
 
 
 def partition_pairs(graph: CSRGraph, part: np.ndarray) -> list[tuple[int, int]]:
@@ -122,8 +121,7 @@ def refine_interfaces(
     pairs = partition_pairs(graph, part)
     for round_pairs in pair_rounds(pairs):
         region_sizes: list[int] = []
-        edge_scans = 0
-        moves = 0
+        tried = kept = 0
         for p, q in round_pairs:
             core, region = _interface_region(graph, part, p, q)
             if region.size < 2:
@@ -149,16 +147,10 @@ def refine_interfaces(
                 sub, labels, (int(round(cap_p)), int(round(cap_q))),
                 ubfactor=1.0, max_passes=fm_passes, pinned=pinned,
             )
-            changed = res.part != labels
-            moves += int(changed.sum())
+            tried += res.moves_tried
+            kept += res.moves_committed
             new_labels = np.where(res.part == 1, q, p)
             part[region] = new_labels
             region_sizes.append(int(region.size))
-            edge_scans += int(sub.num_directed_edges) * (1 + fm_passes)
-        stats_out.append(
-            InterfaceRoundStats(
-                pairs=round_pairs, region_sizes=region_sizes,
-                edge_scans=edge_scans, moves=moves,
-            )
-        )
+        stats_out.append(InterfaceRoundStats(region_sizes, tried, kept))
     return part, stats_out

@@ -27,10 +27,10 @@ from ..parmetis.distgraph import DistGraph
 from ..parmetis.matching import distributed_match
 from ..runtime.clock import SimClock
 from ..runtime.mpi import MpiSim
-from ..runtime.trace import RefinementRecord, Trace
+from ..runtime.trace import Step, Trace
 from ..serial.coarsen import CoarseningLadder
 from ..serial.contraction import contract
-from ..serial.kway import final_rebalance
+from ..serial.kway import balance_limits, final_rebalance
 from ..serial.matching import check_scheme, sequential_match
 from ..mtmetis.refinement import balance_rounds
 from ..serial.project import project_partition
@@ -163,8 +163,8 @@ class Jostle(Engine):
         for li in range(len(levels) - 1, -1, -1):
             level = levels[li]
             part = project_partition(part, level.cmap)
-            cut_before = edge_cut(level.graph, part)
-            moves_total = 0
+            cut = cut_before = edge_cut(level.graph, part)
+            steps = []
             # Jostle accepts unbalancing moves mid-sweep; give FM slack
             # and let the following sweep (and finer levels) rebalance.
             sweep_ub = opts.ubfactor + 0.15
@@ -188,29 +188,23 @@ class Jostle(Engine):
                     per_rank = np.zeros(mpi.num_ranks)
                     per_rank[0] = critical
                     mpi.compute(per_rank, detail=f"interface round L{li}")
-                    moves_total += rs.moves
+                # FM reports its regions' cuts, not the sweep's gain.
+                tried = sum(rs.moves_tried for rs in round_stats)
+                kept = sum(rs.moves_kept for rs in round_stats)
+                before, cut = cut, edge_cut(level.graph, part)
+                steps.append(Step(tried, kept, before - cut))
                 dist = DistGraph.distribute(level.graph, opts.num_ranks)
                 s, d, b = dist.ghost_exchange_payload()
                 mpi.exchange(s, d, b, detail=f"interface halo L{li}")
             # The balancing half of "combined balancing and refinement":
             # diffuse excess weight out of overweight partitions before
             # descending to the finer level.
-            pweights = np.bincount(
-                part, weights=level.graph.vwgt.astype(np.float64), minlength=k
-            )
-            max_pw = opts.ubfactor * (level.graph.total_vertex_weight / k)
-            for _ in balance_rounds(level.graph, part, pweights, k, max_pw, k):
-                pass
-            trace.refinements.append(
-                RefinementRecord(
-                    level=li, pass_index=0,
-                    moves_proposed=moves_total, moves_committed=moves_total,
-                    cut_before=cut_before, cut_after=edge_cut(level.graph, part),
-                    engine="mpi-interface",
-                )
-            )
+            pweights, max_pw, _ = balance_limits(level.graph, part, k, opts.ubfactor)
+            for *_, st in balance_rounds(level.graph, part, pweights, k, max_pw, k):
+                steps.append(st.step)
+            trace.file_steps(li, "mpi-interface", cut_before, steps)
 
-        final_rebalance(graph, part, k, opts.ubfactor)
+        final_rebalance(graph, part, k, opts.ubfactor, trace, "mpi")
         return PhaseOutput(
             part,
             trace,

@@ -21,7 +21,7 @@ from ..graphs.metrics import edge_cut
 from ..obs.spans import clock_span
 from ..runtime.clock import SimClock
 from ..runtime.threads import ThreadPoolSim, block_ownership
-from ..runtime.trace import RefinementRecord, Trace
+from ..runtime.trace import Trace
 from ..serial.coarsen import CoarseningLadder, CoarseningLevel
 from ..serial.kway import final_rebalance
 from ..serial.project import project_partition
@@ -118,11 +118,14 @@ class MtMetis(Engine):
                 pool.parallel_vertex_work(
                     np.ones(level.graph.num_vertices), ownership, detail="project"
                 )
-                cut_before = edge_cut(level.graph, part)
+                cut = edge_cut(level.graph, part)
                 part, sub_stats = refine_level(
                     level.graph, part, k, opts.ubfactor, opts.refine_passes
                 )
-                cut_after = edge_cut(level.graph, part)
+                trace.file_steps(
+                    level_offset + level_idx, "cpu-threads", cut,
+                    [st.step for st in sub_stats],
+                )
                 for si, st in enumerate(sub_stats):
                     # Propose cost: persistent threads keep incremental
                     # boundary/gain state (Sec. III.D — "data ownership is
@@ -155,17 +158,6 @@ class MtMetis(Engine):
                             pool.parallel_vertex_work(
                                 sort_cost, buf_owner, detail="refine.commit"
                             )
-                    trace.refinements.append(
-                        RefinementRecord(
-                            level=level_offset + level_idx,
-                            pass_index=si,
-                            moves_proposed=st.proposals,
-                            moves_committed=st.committed,
-                            cut_before=cut_before,
-                            cut_after=cut_after,
-                            engine="cpu-threads",
-                        )
-                    )
         return part
 
     # ------------------------------------------------------------------
@@ -195,7 +187,7 @@ class MtMetis(Engine):
         clock.set_phase("uncoarsening")
         part = self.uncoarsen(levels, part, k, pool, trace)
 
-        moves = final_rebalance(graph, part, k, opts.ubfactor)
+        moves = final_rebalance(graph, part, k, opts.ubfactor, trace, "cpu-threads")
         if moves is not None:
             clock.charge(
                 "compute",

@@ -16,10 +16,10 @@ A sub-iteration:
    slots); one worker per partition sorts its buffer by gain and accepts
    moves while its partition stays under the weight cap.
 
-Commits use snapshot gains (workers do not see each other's concurrent
-moves), so a sub-iteration can occasionally *increase* the cut — the
-price of lock-freedom the paper accepts; balance is restored by later
-(finer-level) refinement.  Both mt-metis and GP-metis run this algorithm;
+Proposals use snapshot gains; a commit re-reads its request's gain on
+the current labels and drops it once non-positive, so a refinement
+sub-iteration never raises the cut (balancing ones, direction 0, skip
+that check and may).  Both mt-metis and GP-metis run this algorithm;
 they differ in worker counts and in cost accounting, which the caller
 supplies via the returned statistics.
 """
@@ -33,7 +33,8 @@ import numpy as np
 
 from .._segments import segmented_argmax
 from ..graphs.csr import CSRGraph
-from ..serial.kway import connectivity_to, kway_connectivity
+from ..runtime.trace import Step
+from ..serial.kway import balance_limits, connectivity_to, kway_connectivity
 
 __all__ = [
     "SubIterationStats",
@@ -41,6 +42,7 @@ __all__ = [
     "propose_balance_moves",
     "commit_moves",
     "balance_rounds",
+    "sub_iterations",
     "refine_level",
 ]
 
@@ -49,16 +51,24 @@ __all__ = [
 class SubIterationStats:
     """Everything a cost model needs to charge one sub-iteration."""
 
-    direction: int
+    direction: int  # 0 for a balancing sub-iteration
     boundary_size: int = 0
     proposals: int = 0
     committed: int = 0
-    snapshot_gain: int = 0
+    #: Exact cut reduction: each move's gain re-read on the labels it meets.
+    gain_realised: int = 0
     edge_scans: int = 0
     #: Requests received per partition buffer (length k).
     requests_per_partition: np.ndarray = field(default_factory=lambda: np.zeros(0))
     #: Per-boundary-vertex adjacency lengths (for SIMT divergence models).
     boundary_degrees: np.ndarray = field(default_factory=lambda: np.zeros(0))
+
+    @property
+    def step(self) -> Step:
+        return Step(
+            self.proposals, self.committed, self.gain_realised,
+            balancing=self.direction == 0,
+        )
 
 
 #: ``(vertices, destinations, gains, stats)`` of one sub-iteration.
@@ -133,10 +143,10 @@ def commit_moves(
     Each destination partition's worker sorts its buffer by gain
     (descending) and accepts requests while the partition's weight — which
     only it updates — stays within the cap.  With ``recheck_gains`` the
-    worker re-reads the (global, possibly concurrently updated) labels of
-    the request's neighborhood and drops requests whose gain has gone
-    non-positive — the "confirm or undo" step.  Balancing rounds pass
-    ``recheck_gains=False`` (their gains are legitimately negative).
+    worker drops requests whose gain, re-read on the current labels of the
+    request's neighborhood, is not positive — the "confirm or undo" step;
+    balancing rounds pass ``recheck_gains=False`` (their gains may be
+    negative).  The re-read gains sum into ``stats.gain_realised``.
     Mutates ``part`` and ``pweights``; returns the committed move count.
     """
     stats.requests_per_partition = np.bincount(destinations, minlength=k).astype(
@@ -172,14 +182,13 @@ def commit_moves(
             s = int(part[v])
             if s == d:
                 continue
-            if recheck_gains:
-                a, b = adjp[v], adjp[v + 1]
-                nbr_parts = part[adjncy[a:b]]
-                ws = adjwgt[a:b]
-                gain = int(ws[nbr_parts == d].sum()) - int(ws[nbr_parts == s].sum())
-                if gain <= 0:
-                    continue
-                realised += gain
+            a, b = adjp[v], adjp[v + 1]
+            nbr_parts = part[adjncy[a:b]]
+            ws = adjwgt[a:b]
+            gain = int(ws[nbr_parts == d].sum()) - int(ws[nbr_parts == s].sum())
+            if recheck_gains and gain <= 0:
+                continue
+            realised += gain
             part[v] = d
             w_acc += w_sorted[i]
             pweights[d] += w_sorted[i]
@@ -188,7 +197,7 @@ def commit_moves(
         start = end
 
     stats.committed = committed
-    stats.snapshot_gain = realised
+    stats.gain_realised = realised
     return committed
 
 
@@ -319,6 +328,41 @@ def balance_rounds(
             return
 
 
+def sub_iterations(
+    graph: CSRGraph,
+    part: np.ndarray,
+    pweights: np.ndarray,
+    k: int,
+    max_pweight: float,
+    min_pweight: float,
+    max_passes: int,
+) -> Iterator[tuple[np.ndarray, np.ndarray, SubIterationStats]]:
+    """Refinement passes: a balancing sub-iteration (direction 0) when the
+    snapshot is overweight, then directions +1 and -1, each committed in
+    place and yielded as ``(vertices, destinations, stats)`` for the
+    caller to charge; the passes stop after one that commits no move."""
+    for _ in range(max_passes):
+        pass_committed = 0
+        overweight = pweights.max(initial=0.0) > max_pweight
+        for direction in (0, +1, -1) if overweight else (+1, -1):
+            if direction == 0:
+                vs, ds, gs, stats = propose_balance_moves(
+                    graph, part, k, pweights, max_pweight
+                )
+            else:
+                vs, ds, gs, stats = propose_moves(
+                    graph, part, k, direction, pweights, max_pweight, min_pweight
+                )
+            commit_moves(
+                graph, part, pweights, vs, ds, gs, k, max_pweight, stats,
+                recheck_gains=(direction != 0),
+            )
+            yield vs, ds, stats
+            pass_committed += stats.committed
+        if pass_committed == 0:
+            return
+
+
 def refine_level(
     graph: CSRGraph,
     part: np.ndarray,
@@ -328,39 +372,14 @@ def refine_level(
 ) -> tuple[np.ndarray, list[SubIterationStats]]:
     """Run direction-alternating lock-free refinement at one level.
 
-    Returns the refined labels and per-sub-iteration statistics.  Stops
-    early when a full pass (both directions) commits no move.
+    Returns the refined labels and per-sub-iteration statistics
+    (:func:`sub_iterations`, then the level-exit balance rounds).
     """
     part = np.asarray(part, dtype=np.int64).copy()
-    total = graph.total_vertex_weight
-    ideal = total / k if k else 0.0
-    max_pw = ubfactor * ideal
-    min_pw = max(0.0, (2.0 - ubfactor) * ideal)
-    pweights = np.bincount(part, weights=graph.vwgt.astype(np.float64), minlength=k)
-    all_stats: list[SubIterationStats] = []
-    for _ in range(max_passes):
-        pass_committed = 0
-        # Balancing sub-iteration first if the snapshot is overweight.
-        if pweights.max(initial=0.0) > max_pw:
-            vs, ds, gs, stats = propose_balance_moves(graph, part, k, pweights, max_pw)
-            commit_moves(
-                graph, part, pweights, vs, ds, gs, k, max_pw, stats,
-                recheck_gains=False,
-            )
-            all_stats.append(stats)
-            pass_committed += stats.committed
-        for direction in (+1, -1):
-            vs, ds, gs, stats = propose_moves(
-                graph, part, k, direction, pweights, max_pw, min_pw
-            )
-            commit_moves(graph, part, pweights, vs, ds, gs, k, max_pw, stats)
-            all_stats.append(stats)
-            pass_committed += stats.committed
-        if pass_committed == 0:
-            break
+    pweights, max_pw, min_pw = balance_limits(graph, part, k, ubfactor)
+    passes = sub_iterations(graph, part, pweights, k, max_pw, min_pw, max_passes)
     # Level-exit balance guarantee: keep evacuating while any partition is
     # overweight and progress is possible, so the finest level never needs
     # a quality-destroying global rebalance.
-    for *_, stats in balance_rounds(graph, part, pweights, k, max_pw, k):
-        all_stats.append(stats)
-    return part, all_stats
+    exits = balance_rounds(graph, part, pweights, k, max_pw, k)
+    return part, [stats for *_, stats in passes] + [stats for *_, stats in exits]

@@ -15,9 +15,11 @@ Standard metrics (labels in braces):
 ``matching.conflicts{engine}``        counter  conflicted match attempts
 ``matching.pairs{engine}``            counter  committed match pairs
 ``refine.commit_ratio{engine}``       gauge    committed / proposed moves
-``refine.moves_proposed{engine}``     counter  proposed moves, all passes
-``refine.moves_committed{engine}``    counter  committed moves, all passes
-``refine.passes{engine}``             counter  refinement passes executed
+``refine.moves_proposed{engine}``     counter  proposed moves, refinement steps
+``refine.moves_committed{engine}``    counter  committed moves, refinement steps
+``refine.passes{engine}``             counter  refinement steps filed
+``balance.steps{engine}``             counter  balancing steps filed
+``balance.moves{engine}``             counter  committed moves, balancing steps
 ``kernel.coalescing_efficiency``      gauge    bytes-weighted mean over kernels
 ``kernel.launches``                   counter  GPU kernel launches
 ``transfer.h2d_bytes``                counter  PCIe host->device bytes
@@ -49,6 +51,10 @@ Standard metrics (labels in braces):
 ``hw.gpu.bound_seconds{bound}``       counter  kernel seconds per bound class
 ``hw.transfer_avoidance``             gauge    device bytes / (device + PCIe)
 ====================================  =======  ==============================
+
+A refinement or balancing record is one step of one level with its own
+moves and cuts (:meth:`~repro.runtime.trace.Trace.file_steps`):
+``refine.*`` counts refinement steps only, ``balance.*`` the rebalances.
 
 The ``hw.*`` family is derived in :mod:`repro.obs.hw` by dividing the
 recorded traffic by the run's :class:`~repro.runtime.machine.MachineSpec`
@@ -167,19 +173,19 @@ def _matching_metrics(m, trace) -> None:
 
 
 def _refinement_metrics(m, trace) -> None:
-    by_engine: dict[str, tuple[int, int, int]] = {}
-    for rec in trace.refinements:
-        prop, comm, passes = by_engine.get(rec.engine, (0, 0, 0))
-        by_engine[rec.engine] = (
-            prop + rec.moves_proposed, comm + rec.moves_committed, passes + 1
-        )
-    for engine, (proposed, committed, passes) in by_engine.items():
+    for engine in dict.fromkeys(r.engine for r in trace.refinements):
+        steps = [r for r in trace.refinements if r.engine == engine]
+        proposed = sum(r.moves_proposed for r in steps)
+        committed = sum(r.moves_committed for r in steps)
         m.counter("refine.moves_proposed", engine=engine).inc(proposed)
         m.counter("refine.moves_committed", engine=engine).inc(committed)
-        m.counter("refine.passes", engine=engine).inc(passes)
+        m.counter("refine.passes", engine=engine).inc(len(steps))
         m.gauge("refine.commit_ratio", engine=engine).set(
             committed / proposed if proposed else 0.0
         )
+    for rec in trace.balancing:
+        m.counter("balance.steps", engine=rec.engine).inc()
+        m.counter("balance.moves", engine=rec.engine).inc(rec.moves_committed)
 
 
 def _sanitizer_metrics(m, trace) -> None:

@@ -59,7 +59,7 @@ class ParMetis(Engine):
                     mpi, trace, level_idx,
                 )
 
-        if final_rebalance(graph, part, k, opts.ubfactor) is not None:
+        if final_rebalance(graph, part, k, opts.ubfactor, trace, "mpi") is not None:
             mpi.compute(
                 DistGraph.distribute(graph, opts.num_ranks).per_rank_edges(),
                 detail="final rebalance",

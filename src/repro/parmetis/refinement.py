@@ -16,14 +16,10 @@ from __future__ import annotations
 import numpy as np
 
 from ..graphs.metrics import edge_cut
-from ..mtmetis.refinement import (
-    balance_rounds,
-    commit_moves,
-    propose_balance_moves,
-    propose_moves,
-)
+from ..mtmetis.refinement import balance_rounds, sub_iterations
 from ..runtime.mpi import MpiSim
-from ..runtime.trace import RefinementRecord, Trace
+from ..runtime.trace import Trace
+from ..serial.kway import balance_limits
 from .distgraph import DistGraph
 
 __all__ = ["distributed_refine_level"]
@@ -39,14 +35,15 @@ def distributed_refine_level(
     trace: Trace,
     level_idx: int,
 ) -> np.ndarray:
-    """Refine one level on the MPI model; returns new labels."""
+    """Refine one level on the MPI model; returns new labels.
+
+    Files each sub-iteration (a balancing superstep, then the two move
+    directions) and each level-exit balance superstep in ``trace``.
+    """
     graph = dist.graph
+    cut = edge_cut(graph, part)
     part = np.asarray(part, dtype=np.int64).copy()
-    total = graph.total_vertex_weight
-    ideal = total / k if k else 0.0
-    max_pw = ubfactor * ideal
-    min_pw = max(0.0, (2.0 - ubfactor) * ideal)
-    pweights = np.bincount(part, weights=graph.vwgt.astype(np.float64), minlength=k)
+    pweights, max_pw, min_pw = balance_limits(graph, part, k, ubfactor)
     # The halo and each rank's scan depend on the graph and its
     # distribution only, never on the labels: build them once per level.
     # Each rank scans its owned vertices' arcs plus the ghost arcs it
@@ -58,58 +55,34 @@ def distributed_refine_level(
         + 2.0 * np.bincount(halo[0], minlength=dist.num_ranks)
     )
 
-    for pass_i in range(max_passes):
-        pass_committed = 0
-        cut_before = edge_cut(graph, part)
-        rounds: list[int] = []
-        if pweights.max(initial=0.0) > max_pw:
-            rounds.append(0)  # balancing superstep
-        rounds += [+1, -1]
-        for direction in rounds:
-            if direction == 0:
-                vs, ds, gs, stats = propose_balance_moves(
-                    graph, part, k, pweights, max_pw
-                )
-            else:
-                vs, ds, gs, stats = propose_moves(
-                    graph, part, k, direction, pweights, max_pw, min_pw
-                )
-            commit_moves(
-                graph, part, pweights, vs, ds, gs, k, max_pw, stats,
-                recheck_gains=(direction != 0),
-            )
-            pass_committed += stats.committed
-
-            mpi.compute(
-                scan, detail=f"refine scan L{level_idx}",
-                avg_degree=2 * graph.num_edges / max(1, graph.num_vertices),
-            )
-            # Movement requests: proposals owned by one rank, decided by the
-            # partition's coordinator rank (partition p -> rank p % P).
-            if vs.size:
-                src_rank = dist.rank_of[vs]
-                dst_rank = (ds % dist.num_ranks).astype(np.int64)
-                mpi.exchange(
-                    src_rank, dst_rank, np.full(vs.shape[0], 24.0),
-                    detail=f"move requests L{level_idx}",
-                )
-            # Committed labels propagate along cut arcs (halo update).
-            mpi.exchange(*halo, detail=f"halo update L{level_idx}")
-        cut_after = edge_cut(graph, part)
-        trace.refinements.append(
-            RefinementRecord(
-                level=level_idx, pass_index=pass_i,
-                moves_proposed=pass_committed, moves_committed=pass_committed,
-                cut_before=cut_before, cut_after=cut_after, engine="mpi",
-            )
+    steps = []
+    # One superstep per sub-iteration (a balancing one first when overweight).
+    for vs, ds, stats in sub_iterations(
+        graph, part, pweights, k, max_pw, min_pw, max_passes
+    ):
+        steps.append(stats.step)
+        mpi.compute(
+            scan, detail=f"refine scan L{level_idx}",
+            avg_degree=2 * graph.num_edges / max(1, graph.num_vertices),
         )
-        if pass_committed == 0:
-            break
+        # Movement requests: proposals owned by one rank, decided by the
+        # partition's coordinator rank (partition p -> rank p % P).
+        if vs.size:
+            src_rank = dist.rank_of[vs]
+            dst_rank = (ds % dist.num_ranks).astype(np.int64)
+            mpi.exchange(
+                src_rank, dst_rank, np.full(vs.shape[0], 24.0),
+                detail=f"move requests L{level_idx}",
+            )
+        # Committed labels propagate along cut arcs (halo update).
+        mpi.exchange(*halo, detail=f"halo update L{level_idx}")
     # Level-exit balance supersteps, as in the shared-memory engine.
-    for vs, ds, _, _ in balance_rounds(graph, part, pweights, k, max_pw, k):
+    for vs, ds, _, stats in balance_rounds(graph, part, pweights, k, max_pw, k):
+        steps.append(stats.step)
         if vs.size:
             mpi.exchange(
                 dist.rank_of[vs], (ds % dist.num_ranks).astype(np.int64),
                 np.full(vs.shape[0], 24.0), detail=f"balance moves L{level_idx}",
             )
+    trace.file_steps(level_idx, "mpi", cut, steps)
     return part

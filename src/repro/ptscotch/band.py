@@ -17,7 +17,7 @@ import numpy as np
 
 from ..graphs.csr import CSRGraph
 from ..graphs.metrics import boundary_vertices
-from ..mtmetis.refinement import refine_level
+from ..mtmetis.refinement import SubIterationStats, refine_level
 
 __all__ = ["band_vertices", "band_refine"]
 
@@ -53,7 +53,7 @@ def band_refine(
     ubfactor: float = 1.03,
     max_passes: int = 4,
     distance: int = 2,
-) -> tuple[np.ndarray, int]:
+) -> tuple[np.ndarray, int, list[SubIterationStats]]:
     """Refine only within the band around the separators.
 
     Builds the induced band subgraph with per-band-vertex weights that
@@ -62,12 +62,12 @@ def band_refine(
     graph's totals (vertices outside the band are pinned, so their weight
     contribution is constant).
 
-    Returns ``(new_part, band_size)``.
+    Returns ``(new_part, band_size, stats)``, the band's sub-iterations.
     """
     part = np.asarray(part, dtype=np.int64).copy()
     band = band_vertices(graph, part, distance)
     if band.size == 0:
-        return part, 0
+        return part, 0, []
     sub, old_of_new = graph.subgraph(band)
     sub_part = part[band]
 
@@ -78,12 +78,12 @@ def band_refine(
     band_weight = int(graph.vwgt[band].sum())
     total = graph.total_vertex_weight
     if band_weight == 0 or total == 0:
-        return part, int(band.size)
+        return part, int(band.size), []
     # Effective tolerance on the band that bounds global imbalance by
     # ubfactor: global_max <= pinned_max + band_cap.
     eff_ub = 1.0 + (ubfactor - 1.0) * total / band_weight
-    new_sub_part, _stats = refine_level(
+    new_sub_part, stats = refine_level(
         sub, sub_part, k, min(eff_ub, 2.0), max_passes
     )
     part[band] = new_sub_part
-    return part, int(band.size)
+    return part, int(band.size), stats

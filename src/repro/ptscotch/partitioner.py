@@ -18,7 +18,7 @@ from ..graphs.metrics import edge_cut
 from ..parmetis.distgraph import DistGraph
 from ..runtime.clock import SimClock
 from ..runtime.mpi import MpiSim
-from ..runtime.trace import RefinementRecord, Trace
+from ..runtime.trace import Step, Trace
 from ..serial.bisection import bisection_sweeps, recursive_bisection
 from ..serial.coarsen import CoarseningLadder
 from ..serial.contraction import contract
@@ -116,10 +116,16 @@ class PTScotch(Engine):
         for li in range(len(ladder.levels) - 1, -1, -1):
             level = ladder.levels[li]
             part = project_partition(part, level.cmap)
-            cut_before = edge_cut(level.graph, part)
-            part, band_size = band_refine(
+            cut = edge_cut(level.graph, part)
+            part, band_size, band_stats = band_refine(
                 level.graph, part, k, opts.ubfactor, opts.refine_passes
             )
+            # One band step, balancing inside itself; its gains are the band
+            # subgraph's, not the cut's.
+            proposed = sum(st.proposals for st in band_stats)
+            committed = sum(st.committed for st in band_stats)
+            band = Step(proposed, committed, cut - edge_cut(level.graph, part))
+            trace.file_steps(li, "mpi-band", cut, [band])
             dist = DistGraph.distribute(level.graph, opts.num_ranks)
             band_share = band_size / max(1, level.graph.num_vertices)
             mpi.compute(
@@ -129,16 +135,8 @@ class PTScotch(Engine):
             )
             s, d, b = dist.ghost_exchange_payload()
             mpi.exchange(s, d, b, detail=f"band halo L{li}")
-            trace.refinements.append(
-                RefinementRecord(
-                    level=li, pass_index=0,
-                    moves_proposed=band_size, moves_committed=band_size,
-                    cut_before=cut_before, cut_after=edge_cut(level.graph, part),
-                    engine="mpi-band",
-                )
-            )
 
-        final_rebalance(graph, part, k, opts.ubfactor)
+        final_rebalance(graph, part, k, opts.ubfactor, trace, "mpi")
         trace.note(f"{folds} folds performed")
         return PhaseOutput(
             part,

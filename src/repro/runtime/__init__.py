@@ -4,7 +4,7 @@ from .clock import OVERHEAD_CATEGORIES, VOLUME_CATEGORIES, CostEvent, SimClock
 from .machine import PAPER_MACHINE, CpuSpec, GpuSpec, InterconnectSpec, MachineSpec
 from .mpi import MpiSim, block_distribution, rank_of_vertex
 from .threads import ThreadPoolSim, block_ownership, cyclic_ownership
-from .trace import LevelRecord, RefinementRecord, Trace
+from .trace import LevelRecord, RefinementRecord, Step, Trace
 
 __all__ = [
     "CostEvent",
@@ -24,5 +24,6 @@ __all__ = [
     "rank_of_vertex",
     "LevelRecord",
     "RefinementRecord",
+    "Step",
     "Trace",
 ]

@@ -28,7 +28,8 @@ class FMResult:
     part: np.ndarray
     cut: int
     passes_run: int
-    moves_committed: int
+    moves_committed: int  # the kept prefixes' moves
+    moves_tried: int = 0  # every move, the rolled-back tails included
 
 
 def bisection_gains(graph: CSRGraph, part: np.ndarray) -> np.ndarray:
@@ -103,7 +104,7 @@ def fm_refine_bisection(
 
     cut = edge_cut(graph, part)
     labels = part.tolist()
-    total_moves = 0
+    total_moves = total_tried = 0
     passes_run = 0
 
     for _ in range(max_passes):
@@ -183,9 +184,10 @@ def fm_refine_bisection(
             side_w[s] += vwgt[v]
         part = np.array(labels, dtype=np.int64)
         total_moves += best_prefix
+        total_tried += len(history)
         if best_cut >= cut:
             cut = best_cut
             break
         cut = best_cut
 
-    return FMResult(part, cut, passes_run, total_moves)
+    return FMResult(part, cut, passes_run, total_moves, total_tried)

@@ -16,10 +16,12 @@ import numpy as np
 
 from .._segments import segmented_argmax
 from ..graphs.csr import CSRGraph
-from ..graphs.metrics import boundary_from_labels, imbalance
+from ..graphs.metrics import boundary_from_labels, edge_cut, imbalance
+from ..runtime.trace import Step, Trace
 
 __all__ = [
     "KwayPassResult",
+    "balance_limits",
     "connectivity_to",
     "kway_connectivity",
     "kway_refine_pass",
@@ -30,11 +32,21 @@ __all__ = [
 
 
 @dataclass(frozen=True)
-class KwayPassResult:
-    moves_proposed: int
-    moves_committed: int
-    gain_realised: int
+class KwayPassResult(Step):
+    """One refinement pass: the step an engine files, plus the arcs it read."""
+
     edge_scans: int
+
+
+def balance_limits(
+    graph: CSRGraph, part: np.ndarray, k: int, ubfactor: float
+) -> tuple[np.ndarray, float, float]:
+    """``(pweights, max_pweight, min_pweight)`` for refining ``part``: its
+    partition weights, the ``ubfactor`` cap, and Metis's (2 - ubfactor)
+    floor, which keeps any partition from emptying out."""
+    ideal = graph.total_vertex_weight / k if k else 0.0
+    pweights = np.bincount(part, weights=graph.vwgt.astype(np.float64), minlength=k)
+    return pweights, ubfactor * ideal, max(0.0, (2.0 - ubfactor) * ideal)
 
 
 def kway_connectivity(
@@ -92,7 +104,6 @@ def kway_refine_pass(
     k: int,
     max_pweight: float,
     min_pweight: float,
-    rng: np.random.Generator,
 ) -> KwayPassResult:
     """One refinement pass; mutates ``part`` and ``pweights`` in place."""
     boundary, rows, parts, weights = kway_connectivity(graph, part, k)
@@ -146,14 +157,15 @@ def rebalance_pass(
     pweights: np.ndarray,
     k: int,
     max_pweight: float,
-) -> int:
+) -> Step:
     """Evacuate overweight partitions by cheapest boundary moves.
 
     Moves vertices out of partitions above ``max_pweight`` into their
     best-connected underweight neighbor partition, preferring moves that
-    damage the cut least.  Returns the number of moves committed.
+    damage the cut least.  Returns a balancing step: the vertices it
+    tried to move, its moves and their exact (usually negative) gain.
     """
-    moves = 0
+    tried = moves = gain = 0
     adjp, adjncy, adjwgt, vwgt = graph.adjp, graph.adjncy, graph.adjwgt, graph.vwgt
     for _ in range(k):  # at most k evacuation rounds
         heavy = np.where(pweights > max_pweight)[0]
@@ -185,6 +197,7 @@ def rebalance_pass(
             a, b = adjp[v], adjp[v + 1]
             nbr_parts = part[adjncy[a:b]]
             ws = adjwgt[a:b]
+            tried += 1
             d = -1
             best_c = -1
             for p in np.unique(nbr_parts):
@@ -203,27 +216,34 @@ def rebalance_pass(
             pweights[s] -= w
             pweights[d] += w
             moves += 1
+            gain += int(ws[nbr_parts == d].sum()) - int(ws[nbr_parts == s].sum())
             progressed = True
         if not progressed:
             break
-    return moves
+    return Step(tried, moves, gain, balancing=True)
 
 
 def final_rebalance(
-    graph: CSRGraph, part: np.ndarray, k: int, ubfactor: float
+    graph: CSRGraph, part: np.ndarray, k: int, ubfactor: float,
+    trace: Trace, engine: str,
 ) -> int | None:
     """The engines' closing balance guarantee at the finest level.
 
     When ``part`` (mutated in place) exceeds ``ubfactor``, runs
-    :func:`rebalance_pass` against ``ubfactor`` x the ideal part weight
-    and returns its move count; returns ``None`` when no pass was
-    needed.  The caller charges the pass to its own cost model.
+    :func:`rebalance_pass` against ``ubfactor`` x the ideal part weight,
+    files it in ``trace`` as a balancing step of level 0 under the label
+    ``engine``, and returns its move count; returns ``None`` when no
+    pass was needed.  The caller charges the pass to its own cost model.
     """
     if k <= 1 or imbalance(graph, part, k) <= ubfactor:
         return None
-    pweights = np.bincount(part, weights=graph.vwgt.astype(np.float64), minlength=k)
-    ideal = graph.total_vertex_weight / k
-    return rebalance_pass(graph, part, pweights, k, ubfactor * ideal)
+    pweights, max_pw, _ = balance_limits(graph, part, k, ubfactor)
+    res = rebalance_pass(graph, part, pweights, k, max_pw)
+    cut = trace.cut_after(0)
+    if cut is None:  # level 0 was not refined: no chain to continue
+        cut = edge_cut(graph, part) + res.gain_realised
+    trace.file_steps(0, engine, cut, [res])
+    return res.moves_committed
 
 
 def kway_refine(
@@ -232,22 +252,17 @@ def kway_refine(
     k: int,
     ubfactor: float = 1.03,
     max_passes: int = 4,
-    rng: np.random.Generator | None = None,
-) -> tuple[np.ndarray, list[KwayPassResult]]:
-    """Run refinement passes until no move commits or the pass budget ends."""
-    rng = rng or np.random.default_rng(0)
+) -> tuple[np.ndarray, list[Step]]:
+    """Run refinement passes until no move commits or the pass budget ends;
+    returns the labels and the level's steps in order, a
+    :func:`rebalance_pass` first when a partition starts overweight."""
     part = np.asarray(part, dtype=np.int64).copy()
-    total = graph.total_vertex_weight
-    ideal = total / k if k else 0.0
-    max_pw = ubfactor * ideal
-    # Metis floors partitions at (2 - ubfactor) x ideal so none empties out.
-    min_pw = max(0.0, (2.0 - ubfactor) * ideal)
-    pweights = np.bincount(part, weights=graph.vwgt.astype(np.float64), minlength=k)
-    results: list[KwayPassResult] = []
+    pweights, max_pw, min_pw = balance_limits(graph, part, k, ubfactor)
+    results: list[Step] = []
     if k > 1 and pweights.max(initial=0.0) > max_pw:
-        rebalance_pass(graph, part, pweights, k, max_pw)
+        results.append(rebalance_pass(graph, part, pweights, k, max_pw))
     for _ in range(max_passes):
-        res = kway_refine_pass(graph, part, pweights, k, max_pw, min_pw, rng)
+        res = kway_refine_pass(graph, part, pweights, k, max_pw, min_pw)
         results.append(res)
         if res.moves_committed == 0:
             break

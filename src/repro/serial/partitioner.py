@@ -15,7 +15,7 @@ from ..engine import Engine, PhaseOutput
 from ..graphs.csr import CSRGraph
 from ..graphs.metrics import edge_cut
 from ..runtime.clock import SimClock
-from ..runtime.trace import RefinementRecord, Trace
+from ..runtime.trace import Trace
 from .bisection import bisection_sweeps, recursive_bisection
 from .coarsen import coarsen_graph
 from .kway import kway_refine
@@ -82,12 +82,12 @@ class SerialMetis(Engine):
                               project_sec / self.machine.cpu.num_cores)
                 # part[cmap] gathers one 8 B label per fine vertex.
                 hw.record_random_bytes(8.0 * level.graph.num_vertices)
-            cut_before = edge_cut(level.graph, part)
-            part, passes = kway_refine(
-                level.graph, part, k, ubfactor=opts.ubfactor, rng=rng
-            )
-            cut_after = edge_cut(level.graph, part)
-            for pi, pres in enumerate(passes):
+            cut = edge_cut(level.graph, part)
+            part, passes = kway_refine(level.graph, part, k, ubfactor=opts.ubfactor)
+            trace.file_steps(level_idx, "cpu-serial", cut, passes)
+            for pres in passes:
+                if pres.balancing:  # the level-start rebalance is not charged
+                    continue
                 pass_sec = self.machine.cpu.edge_seconds(
                     pres.edge_scans,
                     avg_degree=2 * level.graph.num_edges
@@ -101,13 +101,4 @@ class SerialMetis(Engine):
                 if hw is not None:
                     hw.record_cpu("edge", float(pres.edge_scans), pass_sec,
                                   pass_sec / self.machine.cpu.num_cores)
-                trace.refinements.append(
-                    RefinementRecord(
-                        level=level_idx, pass_index=pi,
-                        moves_proposed=pres.moves_proposed,
-                        moves_committed=pres.moves_committed,
-                        cut_before=cut_before, cut_after=cut_after,
-                        engine="cpu-serial",
-                    )
-                )
         return PhaseOutput(part, trace)

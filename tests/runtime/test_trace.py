@@ -3,7 +3,7 @@
 import numpy as np
 
 from repro.gpusim.sanitizer import LaunchRaceReport, RaceFinding
-from repro.runtime.trace import LevelRecord, RefinementRecord, Trace
+from repro.runtime.trace import LevelRecord, RefinementRecord, Step, Trace
 
 
 class TestLevelRecord:
@@ -23,7 +23,7 @@ class TestLevelRecord:
 class TestRefinementRecord:
     def test_fields(self):
         r = RefinementRecord(
-            level=1, pass_index=0, moves_proposed=12, moves_committed=7,
+            level=1, step=0, moves_proposed=12, moves_committed=7,
             cut_before=90, cut_after=80, engine="gpu",
         )
         assert r.moves_committed <= r.moves_proposed
@@ -85,6 +85,18 @@ class TestTraceAggregation:
         assert "(3 passes)" in out
         assert "830" not in out  # intermediate cuts are folded away
 
+    def test_render_balancing_steps_beside_passes(self):
+        """A level's rebalance shows as its own steps, not inside a pass;
+        the arrow follows the level's net change."""
+        t = Trace()
+        t.file_steps(4, "cpu-serial", 2203, [
+            Step(10, 10, -44, balancing=True), Step(30, 7, 7), Step(5, 0, 0),
+        ])
+        t.file_steps(3, "cpu-serial", 2240, [Step(20, 9, 12)])
+        out = t.render()
+        assert "L4  cut     2203 ->     2240 ^ (2 passes) balance +44 (1 step)" in out
+        assert "L3  cut     2240 ->     2228 v (1 pass) [cpu-serial]" in out
+
     def test_render_refinement_single_pass_and_engines(self):
         t = Trace()
         t.refinements.append(RefinementRecord(1, 0, 10, 5, 500, 480, engine="gpu"))
@@ -138,3 +150,28 @@ class TestTraceRaceReports:
         out = t.render()
         assert "0 race(s)" in out
         assert "match[" not in out
+
+
+class TestFileSteps:
+    def test_records_chain_from_the_projected_cut(self):
+        t = Trace()
+        t.file_steps(2, "gpu", 500, [
+            Step(8, 3, -6, balancing=True), Step(40, 25, 70), Step(9, 0, 0),
+        ])
+        assert [(r.step, r.cut_before, r.cut_after) for r in t.refinements] == [
+            (1, 506, 436), (2, 436, 436),
+        ]
+        assert [(r.step, r.cut_before, r.cut_after) for r in t.balancing] == [
+            (0, 500, 506),
+        ]
+        assert {r.engine for r in t.refinements + t.balancing} == {"gpu"}
+
+    def test_later_steps_continue_the_level(self):
+        t = Trace()
+        assert t.cut_after(0) is None
+        t.file_steps(0, "cpu-threads", 300, [Step(5, 5, 20)])
+        t.file_steps(0, "cpu-threads", t.cut_after(0), [Step(4, 4, -9, balancing=True)])
+        (rec,) = t.balancing
+        assert (rec.level, rec.step, rec.cut_before, rec.cut_after) == (0, 1, 280, 289)
+        assert t.cut_after(0) == 289
+        assert t.cut_after(1) is None

@@ -382,10 +382,9 @@ class TestAgainstDenseOracle:
     def test_kway_refine_pass(self, kind, k, seed, overweight):
         graph, part, pweights, max_pw, min_pw = self.state(kind, k, seed, overweight)
         got_part, got_pw = part.copy(), pweights.copy()
-        rng = np.random.default_rng(0)
         for _ in range(3):
             want = dense_kway_refine_pass(graph, part, pweights, k, max_pw, min_pw)
-            got = kway_refine_pass(graph, got_part, got_pw, k, max_pw, min_pw, rng)
+            got = kway_refine_pass(graph, got_part, got_pw, k, max_pw, min_pw)
             assert got == want
             np.testing.assert_array_equal(got_part, part)
             np.testing.assert_array_equal(got_pw, pweights)
@@ -396,7 +395,8 @@ class TestAgainstDenseOracle:
             got_part, got_pw = part.copy(), pweights.copy()
             want_part, want_pw = part.copy(), pweights.copy()
             want = dense_rebalance_pass(graph, want_part, want_pw, k, cap)
-            assert rebalance_pass(graph, got_part, got_pw, k, cap) == want
+            got = rebalance_pass(graph, got_part, got_pw, k, cap)
+            assert got.moves_committed == want
             np.testing.assert_array_equal(got_part, want_part)
             np.testing.assert_array_equal(got_pw, want_pw)
 
@@ -498,8 +498,7 @@ class TestOneSweepPerSnapshot:
 
     def test_kway_refine_pass(self, calls, snapshot):
         graph, part, pweights, max_pw, min_pw = snapshot
-        rng = np.random.default_rng(0)
-        kway_refine_pass(graph, part.copy(), pweights.copy(), 8, max_pw, min_pw, rng)
+        kway_refine_pass(graph, part.copy(), pweights.copy(), 8, max_pw, min_pw)
         assert calls == {"kway_connectivity": 1, "boundary_vertices": 0}
 
 
@@ -535,9 +534,7 @@ class TestZeroWeightArcs:
         pweights = np.array([2.0, 2.0])
         got_part, got_pw = part.copy(), pweights.copy()
         want = dense_kway_refine_pass(graph, part, pweights, 2, 4.0, 0.0)
-        got = kway_refine_pass(
-            graph, got_part, got_pw, 2, 4.0, 0.0, np.random.default_rng(0)
-        )
+        got = kway_refine_pass(graph, got_part, got_pw, 2, 4.0, 0.0)
         assert got == want == KwayPassResult(0, 0, 0, 10)
         np.testing.assert_array_equal(got_part, part)
 
@@ -554,8 +551,6 @@ class TestZeroWeightArcs:
             assert_same_proposals(got, want)
         got_part, got_pw = part.copy(), pweights.copy()
         want = dense_kway_refine_pass(graph, part, pweights, k, max_pw, min_pw)
-        got = kway_refine_pass(
-            graph, got_part, got_pw, k, max_pw, min_pw, np.random.default_rng(0)
-        )
+        got = kway_refine_pass(graph, got_part, got_pw, k, max_pw, min_pw)
         assert got == want
         np.testing.assert_array_equal(got_part, part)

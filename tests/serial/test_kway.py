@@ -89,8 +89,8 @@ class TestRebalance:
             part, weights=medium_graph.vwgt.astype(np.float64), minlength=k
         )
         ideal = medium_graph.total_vertex_weight / k
-        moves = rebalance_pass(medium_graph, part, pweights, k, 1.05 * ideal)
-        assert moves > 0
+        res = rebalance_pass(medium_graph, part, pweights, k, 1.05 * ideal)
+        assert res.moves_committed > 0
         assert imbalance(medium_graph, part, k) <= 1.06
 
     def test_noop_when_balanced(self, medium_graph):
@@ -99,7 +99,8 @@ class TestRebalance:
             part, weights=medium_graph.vwgt.astype(np.float64), minlength=4
         )
         ideal = medium_graph.total_vertex_weight / 4
-        assert rebalance_pass(medium_graph, part, pweights, 4, 1.1 * ideal) == 0
+        res = rebalance_pass(medium_graph, part, pweights, 4, 1.1 * ideal)
+        assert res.moves_committed == 0
 
     def test_pweights_stay_consistent(self, medium_graph):
         n = medium_graph.num_vertices

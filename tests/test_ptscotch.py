@@ -160,20 +160,20 @@ class TestBandRefinement:
         rng = np.random.default_rng(4)
         part = rng.integers(0, 4, g.num_vertices)
         before = edge_cut(g, part)
-        out, band_size = band_refine(g, part, 4, ubfactor=1.2, distance=2)
+        out, band_size, _ = band_refine(g, part, 4, ubfactor=1.2, distance=2)
         assert edge_cut(g, out) < before
         assert band_size > 0
 
     def test_vertices_outside_band_never_move(self, medium_graph):
         part = np.arange(medium_graph.num_vertices) % 4
         band = set(band_vertices(medium_graph, part, distance=1).tolist())
-        out, _ = band_refine(medium_graph, part, 4, distance=1)
+        out, *_ = band_refine(medium_graph, part, 4, distance=1)
         moved = np.where(out != part)[0]
         assert set(moved.tolist()) <= band
 
     def test_uniform_partition_no_band(self, grid):
         part = np.zeros(grid.num_vertices, dtype=np.int64)
-        out, band_size = band_refine(grid, part, 1)
+        out, band_size, _ = band_refine(grid, part, 1)
         assert band_size == 0
         assert np.array_equal(out, part)
 
