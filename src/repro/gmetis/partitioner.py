@@ -26,6 +26,7 @@ from ..serial.bisection import bisection_sweeps, recursive_bisection
 from ..serial.coarsen import CoarseningLadder
 from ..serial.contraction import contract
 from ..serial.kway import final_rebalance, kway_refine
+from ..serial.matching import scheme_keys, self_match_leftovers
 from ..serial.options import MultilevelOptions
 from ..serial.project import project_partition
 from .speculative import SpeculativeExecutor
@@ -60,11 +61,15 @@ class Gmetis(Engine):
         rng: np.random.Generator, detail: str,
     ):
         """The matching as a Galois iterator: lock v + neighbors, match
-        greedily (HEM, LEM or RM, as ``options.matching`` says)."""
+        greedily (HEM, LEM or RM, as ``options.matching`` says).
+
+        A vertex with no free neighbor stays unmatched until the loop
+        ends: every neighbor is taken, so no later iteration can claim it.
+        """
         n = graph.num_vertices
         match = np.full(n, -1, dtype=np.int64)
-        adjp, adjncy, adjwgt = graph.adjp, graph.adjncy, graph.adjwgt
-        scheme = self.options.matching
+        adjp, adjncy = graph.adjp, graph.adjncy
+        keys = scheme_keys(graph, self.options.matching)
 
         def neighborhood(v: int) -> np.ndarray:
             return adjncy[adjp[v]: adjp[v + 1]]
@@ -74,27 +79,21 @@ class Gmetis(Engine):
                 return
             s, e = adjp[v], adjp[v + 1]
             nbrs = adjncy[s:e]
-            free = match[nbrs] < 0
-            if not np.any(free):
-                match[v] = v
+            free = np.flatnonzero(match[nbrs] < 0)
+            if free.size == 0:
                 return
-            if scheme == "hem":
-                j = int(np.argmax(np.where(free, adjwgt[s:e], -1)))
-            elif scheme == "lem":
-                # The first free neighbor of minimal weight, in CSR order.
-                idx = np.flatnonzero(free)
-                j = int(idx[np.argmin(adjwgt[s:e][idx])])
+            if keys is None:  # rm
+                j = free[rng.integers(0, free.shape[0])]
             else:
-                idx = np.where(free)[0]
-                j = int(idx[rng.integers(0, idx.shape[0])])
+                # The first free neighbor of maximal key, in CSR order.
+                j = free[np.argmax(keys[s:e][free])]
             u = int(nbrs[j])
             match[v] = u
             match[u] = v
 
         items = rng.permutation(n)
         stats = executor.for_each(items, neighborhood, body, detail=detail)
-        left = match < 0
-        match[left] = np.where(left)[0]
+        self_match_leftovers(match)
         return match, stats
 
     # ------------------------------------------------------------------

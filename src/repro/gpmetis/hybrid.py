@@ -278,8 +278,7 @@ def run_hybrid(
                 copy_out = make_copy_out() if use_async and will_stop else None
                 outcome = gpu_contract(
                     dev, d_csr, current, d_match, d_cmap, n_coarse,
-                    n_threads, opts.merge_strategy, opts.merge_impl,
-                    copy_out=copy_out,
+                    n_threads, opts.merge_strategy, copy_out=copy_out,
                 )
                 # The host paces the compute stream level by level (it
                 # polls for the shrink factor); the copy stream floats.

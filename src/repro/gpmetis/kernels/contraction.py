@@ -19,10 +19,12 @@ overhead for the contraction."
 
 Both merge strategies produce the identical coarse graph (duplicate
 neighbors merge by weight-sum; lists are neighbor-sorted); they differ in
-time and memory.  ``merge_impl="reference"`` runs the per-thread data
-structures for real (tests, small graphs); ``"vectorized"`` computes the
-same result with one numpy aggregation while charging the cost model of
-the *selected strategy*.
+time and memory.  The pipeline computes that graph with one numpy
+aggregation (:func:`repro.serial.contraction.contract`) while charging
+the cost model of the *selected strategy*.  The per-thread merges
+(``merge_hash.reference_hash_merge``, ``merge_sort.reference_sort_merge``)
+run a CUDA thread's hash table and sort-dedup loops for real; the tests
+contract with them as the oracle of both strategies.
 """
 
 from __future__ import annotations
@@ -37,8 +39,8 @@ from ...gpusim.device import Device
 from ...gpusim.memory import AccessPattern, DeviceArray
 from ...gpusim.scan import exclusive_scan
 from ...serial.contraction import contract
-from .merge_hash import charge_hash_merge_kernel, hash_tables_fit, reference_hash_merge
-from .merge_sort import charge_sort_merge, reference_sort_merge
+from .merge_hash import charge_hash_merge_kernel, hash_tables_fit
+from .merge_sort import charge_sort_merge
 
 __all__ = ["ContractionOutcome", "gpu_contract"]
 
@@ -52,49 +54,6 @@ class ContractionOutcome:
     fell_back_to_sort: bool = False
 
 
-def _reference_contract(
-    graph: CSRGraph, match: np.ndarray, cmap: np.ndarray, n_coarse: int,
-    strategy: str,
-) -> CSRGraph:
-    """Per-thread merge loops run for real — must equal serial contract()."""
-    ids = np.arange(graph.num_vertices, dtype=np.int64)
-    reps = ids[ids <= match]
-    counts = np.zeros(n_coarse, dtype=np.int64)
-    nbr_chunks: list[np.ndarray] = []
-    wgt_chunks: list[np.ndarray] = []
-    vwgt = np.zeros(n_coarse, dtype=np.int64)
-    max_deg = int(graph.degrees().max(initial=1))
-    for v in reps:
-        u = int(match[v])
-        c = int(cmap[v])
-        lists = [graph.neighbors(int(v))]
-        wlists = [graph.edge_weights(int(v))]
-        vwgt[c] = int(graph.vwgt[v])
-        if u != v:
-            lists.append(graph.neighbors(u))
-            wlists.append(graph.edge_weights(u))
-            vwgt[c] += int(graph.vwgt[u])
-        mapped = [cmap[x] for x in lists]
-        keep = [m != c for m in mapped]
-        mapped = [m[kk] for m, kk in zip(mapped, keep)]
-        wl = [w[kk] for w, kk in zip(wlists, keep)]
-        if strategy == "hash":
-            merged_n, merged_w = reference_hash_merge(mapped, wl, capacity=2 * max_deg + 1)
-        else:
-            merged_n, merged_w = reference_sort_merge(mapped, wl)
-        counts[c] = merged_n.shape[0]
-        nbr_chunks.append(merged_n)
-        wgt_chunks.append(merged_w)
-    adjp = np.zeros(n_coarse + 1, dtype=np.int64)
-    np.cumsum(counts, out=adjp[1:])
-    adjncy = np.concatenate(nbr_chunks) if nbr_chunks else np.empty(0, np.int64)
-    adjwgt = np.concatenate(wgt_chunks) if wgt_chunks else np.empty(0, np.int64)
-    return CSRGraph(
-        adjp=adjp, adjncy=adjncy, adjwgt=adjwgt, vwgt=vwgt,
-        name=f"{graph.name}@c{n_coarse}",
-    )
-
-
 def gpu_contract(
     dev: Device,
     d_csr: dict[str, DeviceArray],
@@ -104,7 +63,6 @@ def gpu_contract(
     n_coarse: int,
     n_threads: int,
     merge_strategy: str = "hash",
-    merge_impl: str = "vectorized",
     copy_out=None,
 ) -> ContractionOutcome:
     """Run the five-step contraction pipeline on the device.
@@ -161,17 +119,8 @@ def gpu_contract(
     d_tadjncy = dev.alloc(max(1, total_staging), np.int64, label="tadjncy")
     d_tadjwgt = dev.alloc(max(1, total_staging), np.int64, label="tadjwgt")
 
-    # Compute the merged lists (result identical for all paths).
-    if merge_impl == "reference":
-        coarse = _reference_contract(graph, match, cmap, n_coarse, strategy)
-        expect, _ = contract(graph, match)
-        # The reference path is the correctness oracle for the fast path.
-        assert np.array_equal(coarse.adjp, expect.adjp)
-        assert np.array_equal(coarse.adjncy, expect.adjncy)
-        assert np.array_equal(coarse.adjwgt, expect.adjwgt)
-        assert np.array_equal(coarse.vwgt, expect.vwgt)
-    else:
-        coarse, _cmap_check = contract(graph, match)
+    # The merged lists, identical for both strategies.
+    coarse, _ = contract(graph, match)
 
     # Kernel 3: the merge itself.
     with dev.kernel("coarsen.contract_merge", n_threads=n_threads) as k:

@@ -26,6 +26,7 @@ from ...graphs.csr import CSRGraph
 from ...gpusim.device import Device
 from ...gpusim.memory import AccessPattern, DeviceArray
 from ...mtmetis.matching import LockfreeMatchStats, lockfree_match
+from ...serial.matching import random_if_equal_weights
 
 __all__ = ["gpu_match", "consecutive_batches"]
 
@@ -49,7 +50,7 @@ def gpu_match(
     """Run the matching + conflict-resolution kernels; returns (d_match, stats).
 
     If every edge weight is equal, HEM degenerates and the paper switches
-    to iterative random matching — handled by inspecting the weights once.
+    to iterative random matching (:func:`random_if_equal_weights`).
 
     ``resolve_conflicts=False`` skips the second (resolution) kernel and
     commits round 1's raw claims — the sanitizer's mutation self-check:
@@ -63,13 +64,10 @@ def gpu_match(
     semantics (per-epoch analysis) are identical to the two-kernel form.
     """
     n = graph.num_vertices
-    if scheme == "hem" and graph.adjwgt.size and graph.adjwgt.min() == graph.adjwgt.max():
-        scheme = "rm"
-
     match, stats = lockfree_match(
         graph,
         consecutive_batches(n, n_threads),
-        scheme=scheme,
+        scheme=random_if_equal_weights(graph, scheme),
         rng=rng,
         retry_rounds=0,  # GP-metis self-matches conflicted vertices outright
         resolve_conflicts=resolve_conflicts,

@@ -28,11 +28,6 @@ class GPMetisOptions(MultilevelOptions):
     #: Adjacency-merge strategy for contraction: "hash" (clustered hash
     #: table) or "sort" (per-thread quicksort + dedup) — Sec. III.A.
     merge_strategy: str = "hash"
-    #: Merge implementation: "vectorized" computes the identical coarse
-    #: graph with numpy (fast path; costs still follow merge_strategy);
-    #: "reference" runs the per-vertex hash table / sort-dedup loops
-    #: exactly as a CUDA thread would (slow; used by tests/small graphs).
-    merge_impl: str = "vectorized"
     #: Hand the graph to the CPU when the coarse graph drops below
     #: max(gpu_threshold_factor * k, gpu_threshold_min) vertices.
     gpu_threshold_factor: int = 64
@@ -63,8 +58,6 @@ class GPMetisOptions(MultilevelOptions):
         super().__post_init__()
         if self.merge_strategy not in ("hash", "sort"):
             raise InvalidParameterError(f"unknown merge strategy {self.merge_strategy!r}")
-        if self.merge_impl not in ("vectorized", "reference"):
-            raise InvalidParameterError(f"unknown merge impl {self.merge_impl!r}")
         if self.gpu_threshold_min < 2 or self.gpu_threshold_factor < 1:
             raise InvalidParameterError("gpu thresholds out of range")
         if self.cpu_threads < 1:

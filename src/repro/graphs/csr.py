@@ -26,6 +26,7 @@ from typing import Iterator
 
 import numpy as np
 
+from .._segments import gather_ranges
 from ..exceptions import InvalidGraphError
 
 __all__ = ["CSRGraph"]
@@ -295,17 +296,9 @@ class CSRGraph:
             labels[seed] = comp
             frontier = np.array([seed], dtype=_INDEX_DTYPE)
             while frontier.size:
-                starts = self.adjp[frontier]
-                ends = self.adjp[frontier + 1]
                 # Gather all neighbors of the frontier at once.
-                lens = ends - starts
-                total = int(lens.sum())
-                if total == 0:
-                    break
-                idx = np.repeat(starts, lens) + (
-                    np.arange(total) - np.repeat(np.cumsum(lens) - lens, lens)
-                )
-                nbrs = self.adjncy[idx]
+                lens = self.adjp[frontier + 1] - self.adjp[frontier]
+                nbrs = self.adjncy[gather_ranges(self.adjp[frontier], lens)]
                 fresh = nbrs[labels[nbrs] < 0]
                 if fresh.size == 0:
                     break

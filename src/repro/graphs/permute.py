@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from .._segments import gather_ranges
 from ..exceptions import InvalidParameterError
 from .csr import CSRGraph
 
@@ -82,13 +83,7 @@ def bfs_order(graph: CSRGraph, start: int = 0) -> np.ndarray:
             )
             counter += int(frontier.size)
             lens = graph.adjp[frontier + 1] - graph.adjp[frontier]
-            total = int(lens.sum())
-            if total == 0:
-                break
-            idx = np.repeat(graph.adjp[frontier], lens) + (
-                np.arange(total) - np.repeat(np.cumsum(lens) - lens, lens)
-            )
-            nbrs = graph.adjncy[idx]
+            nbrs = graph.adjncy[gather_ranges(graph.adjp[frontier], lens)]
             fresh = np.unique(nbrs[~seen[nbrs]])
             seen[fresh] = True
             frontier = fresh

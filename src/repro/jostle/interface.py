@@ -20,6 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .._segments import gather_ranges
 from ..graphs.csr import CSRGraph
 from ..serial.fm import fm_refine_bisection
 
@@ -91,11 +92,7 @@ def _interface_region(
     if core.size == 0:
         return core, core
     lens = graph.adjp[core + 1] - graph.adjp[core]
-    total = int(lens.sum())
-    idx = np.repeat(graph.adjp[core], lens) + (
-        np.arange(total) - np.repeat(np.cumsum(lens) - lens, lens)
-    )
-    nbrs = graph.adjncy[idx]
+    nbrs = graph.adjncy[gather_ranges(graph.adjp[core], lens)]
     halo = nbrs[(part[nbrs] == p) | (part[nbrs] == q)]
     region = np.union1d(core, halo).astype(np.int64)
     return core, region

@@ -19,7 +19,9 @@ picks how a round is replayed.  A round whose widest batch holds at most
 schedule over Python-list copies of the CSR: a numpy round trip per
 8-vertex batch costs far more than the batch's work.  Wider rounds
 (GP-metis's GPU-wide batches) run :func:`batch_candidates` once per batch.
-Both replays make the same reads, writes and ``rng`` draws.
+Both replays make the same reads, writes and ``rng`` draws; the pick
+itself, the scheme's keys and the leftover self-match are
+:mod:`repro.serial.matching`'s.
 """
 
 from __future__ import annotations
@@ -30,10 +32,14 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-from .._segments import gather_ranges, segmented_argmax
 from ..exceptions import InvalidParameterError
 from ..graphs.csr import CSRGraph
-from ..serial.matching import check_scheme
+from ..serial.matching import (
+    batch_candidates,
+    check_scheme,
+    scheme_keys,
+    self_match_leftovers,
+)
 
 __all__ = [
     "LockfreeMatchStats",
@@ -68,40 +74,6 @@ class LockfreeMatchStats:
             self.batch_sizes = []
 
 
-def batch_candidates(
-    graph: CSRGraph,
-    batch: np.ndarray,
-    match_snapshot: np.ndarray,
-    scheme: str,
-    rng: np.random.Generator,
-) -> np.ndarray:
-    """Best-unmatched-neighbor of each batch vertex, from a shared snapshot.
-
-    Vectorised equivalent of each CUDA thread's HEM loop: scan the
-    adjacency list, skip neighbors that look matched in the (possibly
-    stale) snapshot, keep the heaviest (HEM), lightest (LEM) or a random
-    (RM) survivor.  Returns -1 where no free neighbor exists.  Raises
-    :class:`InvalidParameterError` for a scheme other than hem, lem or rm.
-    """
-    check_scheme(scheme)
-    lens = (graph.adjp[batch + 1] - graph.adjp[batch]).astype(np.int64)
-    flat = gather_ranges(graph.adjp[batch], lens)
-    nbrs = graph.adjncy[flat]
-    valid = match_snapshot[nbrs] < 0
-    if scheme == "hem":
-        keys = graph.adjwgt[flat].astype(np.float64)
-    elif scheme == "lem":
-        keys = -graph.adjwgt[flat].astype(np.float64)
-    else:  # rm
-        keys = rng.random(flat.shape[0])
-    win = segmented_argmax(keys, lens, valid=valid)
-    cand = np.full(batch.shape[0], -1, dtype=np.int64)
-    ok = win >= 0
-    # win indexes the flat concatenated array directly.
-    cand[ok] = nbrs[win[ok]]
-    return cand
-
-
 def _walk_batches(
     csr: tuple[list, list, list | None],
     match: list,
@@ -111,12 +83,12 @@ def _walk_batches(
 ) -> None:
     """Replay one round's schedule vertex by vertex over Python lists.
 
-    ``csr`` is ``(adjp, adjncy, keys)``: ``keys`` holds the per-arc keys
-    :func:`batch_candidates` ranks by (the weight for HEM, its negation
-    for LEM), or is ``None`` for RM, whose keys are drawn per batch
-    exactly as there.  Every candidate of a batch reads the pre-batch
-    ``match``; the claims then land in two sweeps, all ``M[v] = u``
-    before all ``M[u] = v``, the last writer winning.
+    ``csr`` is ``(adjp, adjncy, keys)``: ``keys`` lists the
+    :func:`scheme_keys` that :func:`batch_candidates` ranks by, or is
+    ``None`` for RM, whose keys are drawn per batch exactly as there.
+    Every candidate of a batch reads the pre-batch ``match``; the claims
+    then land in two sweeps, all ``M[v] = u`` before all ``M[u] = v``,
+    the last writer winning.
     """
     adjp, adjncy, keys = csr
     for batch in schedule:
@@ -201,15 +173,15 @@ def lockfree_match(
             raise InvalidParameterError(f"batch vertex {bad} outside [0, {n})")
         if max((batch.size for batch in schedule), default=0) <= LIST_WALK_MAX_WIDTH:
             if csr_lists is None:
-                keys = None
-                if scheme != "rm":
-                    weights = graph.adjwgt
-                    if weights.max(initial=0) > 2**53:
-                        # Beyond float64's exact integers batch_candidates'
-                        # keys tie distinct weights: rank by those keys.
-                        weights = weights.astype(np.float64)
-                    keys = (weights if scheme == "hem" else -weights).tolist()
-                csr_lists = (graph.adjp.tolist(), graph.adjncy.tolist(), keys)
+                keys = scheme_keys(graph, scheme)
+                if keys is not None and graph.adjwgt.max(initial=0) > 2**53:
+                    # Beyond float64's exact integers batch_candidates'
+                    # keys tie distinct weights: rank by those keys.
+                    keys = keys.astype(np.float64)
+                csr_lists = (
+                    graph.adjp.tolist(), graph.adjncy.tolist(),
+                    None if keys is None else keys.tolist(),
+                )
             walked = match.tolist()
             _walk_batches(csr_lists, walked, schedule, rng, stats)
             match[:] = walked
@@ -221,13 +193,13 @@ def lockfree_match(
             todo = batch[snapshot[batch] < 0]
             if todo.size == 0:
                 continue
-            cand = batch_candidates(graph, todo, snapshot, scheme, rng)
+            arcs = batch_candidates(graph, todo, snapshot < 0, scheme, rng)
             stats.edge_scans += int(
                 (graph.adjp[todo + 1] - graph.adjp[todo]).sum()
             )
             stats.batch_sizes.append(int(todo.size))
-            has = cand >= 0
-            vs, us = todo[has], cand[has]
+            has = arcs >= 0
+            vs, us = todo[has], graph.adjncy[arcs[has]]
             # Writes land in thread order: later entries overwrite earlier
             # claims of the same partner (last-writer-wins arbitration).
             match[vs] = us
@@ -247,30 +219,17 @@ def lockfree_match(
         # would have repaired, then self-match only the never-claimed.
         claimed = np.where(match >= 0)[0]
         stats.conflicts += int((match[match[claimed]] != claimed).sum())
-        left = match < 0
-        match[left] = np.where(left)[0]
-        stats.self_matches = int(left.sum())
-        ids = np.arange(n, dtype=np.int64)
-        stats.pairs = int(((match != ids) & (ids < match)).sum())
-        return match, stats
-
-    conflicted = resolve()
-    stats.conflicts += int(conflicted.shape[0])
-
-    for _ in range(retry_rounds):
-        if conflicted.size == 0:
-            break
-        if batch_maker is None:
-            break
-        run_round(batch_maker(conflicted))
+    else:
         conflicted = resolve()
         stats.conflicts += int(conflicted.shape[0])
+        for _ in range(retry_rounds):
+            if conflicted.size == 0 or batch_maker is None:
+                break
+            run_round(batch_maker(conflicted))
+            conflicted = resolve()
+            stats.conflicts += int(conflicted.shape[0])
 
-    # Leftovers match themselves ("another chance ... in the following
-    # coarsening levels").
-    left = match < 0
-    match[left] = np.where(left)[0]
-    stats.self_matches = int(left.sum())
+    stats.self_matches = self_match_leftovers(match)
     ids = np.arange(n, dtype=np.int64)
     stats.pairs = int(((match != ids) & (ids < match)).sum())
     return match, stats

@@ -22,10 +22,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .._segments import gather_ranges, segmented_argmax
-from ..graphs.csr import CSRGraph
 from ..runtime.mpi import MpiSim
-from ..serial.matching import check_scheme
+from ..serial.matching import (
+    batch_candidates,
+    check_scheme,
+    random_if_equal_weights,
+    self_match_leftovers,
+)
 from .distgraph import DistGraph
 
 __all__ = ["DistMatchStats", "distributed_match", "grant_requests"]
@@ -39,33 +42,6 @@ class DistMatchStats:
     requests_sent: int = 0
     remote_requests: int = 0
     edge_scans: int = 0
-
-
-def _candidates_with_weights(
-    graph: CSRGraph,
-    vertices: np.ndarray,
-    match: np.ndarray,
-    scheme: str,
-    rng: np.random.Generator,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Best unmatched neighbor and the connecting edge weight, per vertex."""
-    lens = (graph.adjp[vertices + 1] - graph.adjp[vertices]).astype(np.int64)
-    flat = gather_ranges(graph.adjp[vertices], lens)
-    nbrs = graph.adjncy[flat]
-    valid = match[nbrs] < 0
-    if scheme == "hem":
-        keys = graph.adjwgt[flat].astype(np.float64)
-    elif scheme == "lem":
-        keys = -graph.adjwgt[flat].astype(np.float64)
-    else:
-        keys = rng.random(flat.shape[0])
-    win = segmented_argmax(keys, lens, valid=valid)
-    cand = np.full(vertices.shape[0], -1, dtype=np.int64)
-    wgt = np.zeros(vertices.shape[0], dtype=np.int64)
-    ok = win >= 0
-    cand[ok] = nbrs[win[ok]]
-    wgt[ok] = graph.adjwgt[flat[win[ok]]]
-    return cand, wgt
 
 
 def grant_requests(
@@ -108,29 +84,21 @@ def distributed_match(
     match = np.full(n, -1, dtype=np.int64)
     stats = DistMatchStats()
 
-    # Uniform edge weights degenerate HEM into a deterministic lowest-id
-    # preference, collapsing all requests onto a few popular targets;
-    # switch to random matching, as the partitioners do (Sec. III.A).
-    if (
-        scheme == "hem"
-        and graph.adjwgt.size
-        and graph.adjwgt.min() == graph.adjwgt.max()
-    ):
-        scheme = "rm"
+    scheme = random_if_equal_weights(graph, scheme)
 
     for pass_i in range(num_passes):
         unmatched = np.where(match < 0)[0]
         if unmatched.size == 0:
             break
         stats.passes += 1
-        cand, wgt = _candidates_with_weights(graph, unmatched, match, scheme, rng)
+        arcs = batch_candidates(graph, unmatched, match < 0, scheme, rng)
         stats.edge_scans += int(
             (graph.adjp[unmatched + 1] - graph.adjp[unmatched]).sum()
         )
-        has = cand >= 0
+        has = arcs >= 0
         v = unmatched[has]
-        u = cand[has]
-        w = wgt[has]
+        u = graph.adjncy[arcs[has]]
+        w = graph.adjwgt[arcs[has]]
         # Alternating direction filter.
         send = (v > u) if pass_i % 2 == 0 else (v < u)
         v, u, w = v[send], u[send], w[send]
@@ -166,7 +134,5 @@ def distributed_match(
                          detail=f"match grants p{pass_i}")
         mpi.allreduce(detail=f"match termination p{pass_i}")
 
-    left = match < 0
-    match[left] = np.where(left)[0]
-    stats.self_matches = int(left.sum())
+    stats.self_matches = self_match_leftovers(match)
     return match, stats

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from .._segments import gather_ranges
 from ..graphs.csr import CSRGraph
 from ..graphs.metrics import boundary_vertices
 from ..mtmetis.refinement import SubIterationStats, refine_level
@@ -33,13 +34,7 @@ def band_vertices(graph: CSRGraph, part: np.ndarray, distance: int = 2) -> np.nd
         if frontier.size == 0:
             break
         lens = graph.adjp[frontier + 1] - graph.adjp[frontier]
-        total = int(lens.sum())
-        if total == 0:
-            break
-        idx = np.repeat(graph.adjp[frontier], lens) + (
-            np.arange(total) - np.repeat(np.cumsum(lens) - lens, lens)
-        )
-        nbrs = graph.adjncy[idx]
+        nbrs = graph.adjncy[gather_ranges(graph.adjp[frontier], lens)]
         fresh = np.unique(nbrs[~in_band[nbrs]])
         in_band[fresh] = True
         frontier = fresh

@@ -18,11 +18,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .._segments import gather_ranges, segmented_argmax
 from ..runtime.mpi import MpiSim
 from ..parmetis.distgraph import DistGraph
 from ..parmetis.matching import grant_requests
-from ..serial.matching import check_scheme
+from ..serial.matching import (
+    batch_candidates,
+    check_scheme,
+    random_if_equal_weights,
+    self_match_leftovers,
+)
 
 __all__ = ["MonteCarloMatchStats", "montecarlo_match"]
 
@@ -55,9 +59,7 @@ def montecarlo_match(
     match = np.full(n, -1, dtype=np.int64)
     stats = MonteCarloMatchStats()
 
-    uniform = bool(
-        graph.adjwgt.size and graph.adjwgt.min() == graph.adjwgt.max()
-    )
+    scheme = random_if_equal_weights(graph, scheme)
 
     for _round in range(max_rounds):
         unmatched = np.where(match < 0)[0]
@@ -70,27 +72,15 @@ def montecarlo_match(
         stats.coin_idle += int((~heads).sum())
 
         if requesters.size:
-            lens = (graph.adjp[requesters + 1] - graph.adjp[requesters]).astype(np.int64)
-            flat = gather_ranges(graph.adjp[requesters], lens)
-            nbrs = graph.adjncy[flat]
             # Valid targets: unmatched AND not requesting this round
             # (requesters never grant, so asking one would be wasted).
-            requesting = np.zeros(n, dtype=bool)
-            requesting[requesters] = True
-            valid = (match[nbrs] < 0) & ~requesting[nbrs]
-            # Each requester asks its first valid neighbor of maximal key,
-            # in CSR order: the weight for HEM, its negation for LEM.
-            if scheme == "hem" and not uniform:
-                keys = graph.adjwgt[flat].astype(np.float64)
-            elif scheme == "lem":
-                keys = -graph.adjwgt[flat].astype(np.float64)
-            else:
-                keys = rng.random(flat.shape[0])
-            win = segmented_argmax(keys, lens, valid=valid)
-            has = win >= 0
+            free = match < 0
+            free[requesters] = False
+            arcs = batch_candidates(graph, requesters, free, scheme, rng)
+            has = arcs >= 0
             v = requesters[has]
-            u = nbrs[win[has]]
-            w = graph.adjwgt[flat[win[has]]]
+            u = graph.adjncy[arcs[has]]
+            w = graph.adjwgt[arcs[has]]
             stats.requests_sent += int(v.shape[0])
 
             if v.size:
@@ -113,7 +103,5 @@ def montecarlo_match(
                     avg_degree=2 * graph.num_edges / max(1, n))
         mpi.allreduce(detail=f"mc termination r{_round}")
 
-    left = match < 0
-    match[left] = np.where(left)[0]
-    stats.self_matches = int(left.sum())
+    stats.self_matches = self_match_leftovers(match)
     return match, stats

@@ -11,9 +11,11 @@ from repro.gpmetis.kernels import (
     gpu_match,
     gpu_project,
     gpu_refine_level,
+    reference_hash_merge,
+    reference_sort_merge,
 )
 from repro.gpusim import Device, transfer_graph_to_device
-from repro.graphs import edge_cut, imbalance
+from repro.graphs import CSRGraph, edge_cut, imbalance
 from repro.runtime.clock import SimClock
 from repro.runtime.machine import PAPER_MACHINE
 from repro.serial.contraction import build_cmap, contract
@@ -93,23 +95,70 @@ class TestGpuCmap:
         assert np.array_equal(d_cmap.data, np.arange(10))
 
 
+def reference_contract(graph, match, cmap, n_coarse, strategy):
+    """Each coarse vertex's lists merged by a CUDA thread's hash table or
+    sort-dedup loop, run for real."""
+    ids = np.arange(graph.num_vertices, dtype=np.int64)
+    reps = ids[ids <= match]
+    counts = np.zeros(n_coarse, dtype=np.int64)
+    nbr_chunks: list[np.ndarray] = []
+    wgt_chunks: list[np.ndarray] = []
+    vwgt = np.zeros(n_coarse, dtype=np.int64)
+    max_deg = int(graph.degrees().max(initial=1))
+    for v in reps:
+        u = int(match[v])
+        c = int(cmap[v])
+        lists = [graph.neighbors(int(v))]
+        wlists = [graph.edge_weights(int(v))]
+        vwgt[c] = int(graph.vwgt[v])
+        if u != v:
+            lists.append(graph.neighbors(u))
+            wlists.append(graph.edge_weights(u))
+            vwgt[c] += int(graph.vwgt[u])
+        mapped = [cmap[x] for x in lists]
+        keep = [m != c for m in mapped]
+        mapped = [m[kk] for m, kk in zip(mapped, keep)]
+        wl = [w[kk] for w, kk in zip(wlists, keep)]
+        if strategy == "hash":
+            merged_n, merged_w = reference_hash_merge(mapped, wl, capacity=2 * max_deg + 1)
+        else:
+            merged_n, merged_w = reference_sort_merge(mapped, wl)
+        counts[c] = merged_n.shape[0]
+        nbr_chunks.append(merged_n)
+        wgt_chunks.append(merged_w)
+    adjp = np.zeros(n_coarse + 1, dtype=np.int64)
+    np.cumsum(counts, out=adjp[1:])
+    adjncy = np.concatenate(nbr_chunks) if nbr_chunks else np.empty(0, np.int64)
+    adjwgt = np.concatenate(wgt_chunks) if wgt_chunks else np.empty(0, np.int64)
+    return CSRGraph(adjp=adjp, adjncy=adjncy, adjwgt=adjwgt, vwgt=vwgt)
+
+
 @pytest.mark.parametrize("strategy", ["hash", "sort"])
 @pytest.mark.parametrize("impl", ["vectorized", "reference"])
 class TestGpuContract:
+    """The device pipeline ("vectorized") and the per-thread merges
+    ("reference") both give serial contract()'s coarse graph."""
+
     def test_matches_serial_contraction(self, dev, medium_graph, strategy, impl):
         d_csr = to_device(dev, medium_graph)
         d_match, _ = gpu_match(dev, d_csr, medium_graph, 256, "hem", np.random.default_rng(0))
         d_cmap, n_coarse = gpu_build_cmap(dev, d_match, 256)
-        out = gpu_contract(
-            dev, d_csr, medium_graph, d_match, d_cmap, n_coarse, 256,
-            merge_strategy=strategy, merge_impl=impl,
-        )
+        if impl == "reference":
+            got = reference_contract(
+                medium_graph, d_match.data, d_cmap.data, n_coarse, strategy
+            )
+        else:
+            out = gpu_contract(
+                dev, d_csr, medium_graph, d_match, d_cmap, n_coarse, 256,
+                merge_strategy=strategy,
+            )
+            assert out.merge_strategy_used == strategy
+            got = out.coarse
         expect, _ = contract(medium_graph, d_match.data)
-        assert np.array_equal(out.coarse.adjp, expect.adjp)
-        assert np.array_equal(out.coarse.adjncy, expect.adjncy)
-        assert np.array_equal(out.coarse.adjwgt, expect.adjwgt)
-        assert np.array_equal(out.coarse.vwgt, expect.vwgt)
-        assert out.merge_strategy_used == strategy
+        assert np.array_equal(got.adjp, expect.adjp)
+        assert np.array_equal(got.adjncy, expect.adjncy)
+        assert np.array_equal(got.adjwgt, expect.adjwgt)
+        assert np.array_equal(got.vwgt, expect.vwgt)
 
 
 class TestContractMemoryBehaviour:

@@ -20,7 +20,7 @@ class TestOptions:
         "kwargs",
         [
             {"merge_strategy": "quick"},
-            {"merge_impl": "gpu"},
+            {"fuzz_schedules": 0},
             {"gpu_threshold_min": 1},
             {"cpu_threads": 0},
             {"ubfactor": 0.99},

@@ -20,25 +20,26 @@ def batches_of(n, width):
 class TestBatchCandidates:
     def test_heaviest_free_neighbor(self, tiny_graph):
         snapshot = np.full(8, -1, dtype=np.int64)
-        cand = batch_candidates(
-            tiny_graph, np.array([0]), snapshot, "hem", np.random.default_rng(0)
+        arcs = batch_candidates(
+            tiny_graph, np.array([0]), snapshot < 0, "hem", np.random.default_rng(0)
         )
-        assert cand.tolist() == [1]  # (0,1) w=5 beats (0,3) w=1, (0,4) w=2
+        # (0,1) w=5 beats (0,3) w=1, (0,4) w=2
+        assert tiny_graph.adjncy[arcs].tolist() == [1]
 
     def test_matched_neighbors_skipped(self, tiny_graph):
         snapshot = np.full(8, -1, dtype=np.int64)
         snapshot[1] = 99  # 1 looks matched
-        cand = batch_candidates(
-            tiny_graph, np.array([0]), snapshot, "hem", np.random.default_rng(0)
+        arcs = batch_candidates(
+            tiny_graph, np.array([0]), snapshot < 0, "hem", np.random.default_rng(0)
         )
-        assert cand.tolist() == [4]  # next-heaviest free neighbor
+        assert tiny_graph.adjncy[arcs].tolist() == [4]  # next-heaviest free neighbor
 
     def test_no_free_neighbor(self, tiny_graph):
         snapshot = np.zeros(8, dtype=np.int64)  # everything matched
-        cand = batch_candidates(
-            tiny_graph, np.array([0]), snapshot, "hem", np.random.default_rng(0)
+        arcs = batch_candidates(
+            tiny_graph, np.array([0]), snapshot < 0, "hem", np.random.default_rng(0)
         )
-        assert cand.tolist() == [-1]
+        assert arcs.tolist() == [-1]
 
 
 class TestLockfreeMatch:
@@ -115,7 +116,7 @@ class TestTypedErrors:
             lockfree_match(medium_graph, batches_of(n, 8), scheme=scheme)
         with pytest.raises(InvalidParameterError, match="unknown matching scheme"):
             batch_candidates(
-                medium_graph, np.array([0]), np.full(n, -1, dtype=np.int64),
+                medium_graph, np.array([0]), np.ones(n, dtype=bool),
                 scheme, np.random.default_rng(0),
             )
 

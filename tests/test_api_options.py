@@ -32,7 +32,7 @@ OPTION_FIELDS = {
     "parmetis": MULTILEVEL_FIELDS + ("num_ranks", "refine_passes"),
     "mt-metis": MULTILEVEL_FIELDS + ("num_threads", "refine_passes"),
     "gp-metis": MULTILEVEL_FIELDS + (
-        "merge_strategy", "merge_impl", "gpu_threshold_factor",
+        "merge_strategy", "gpu_threshold_factor",
         "gpu_threshold_min", "cpu_threads", "refine_passes", "sanitize",
         "fuzz_schedules", "async_streams",
     ),
@@ -57,6 +57,7 @@ REMOVED_FIELDS = [
     ("mt-metis", "match_retry_rounds"),
     ("parmetis", "match_passes"),
     ("gp-metis", "max_gpu_threads"),
+    ("gp-metis", "merge_impl"),
     ("pt-scotch", "match_rounds"),
     ("pt-scotch", "request_probability"),
     ("pt-scotch", "band_distance"),
@@ -93,7 +94,7 @@ class TestRegistry:
     def test_option_field_count(self):
         assert set(OPTION_FIELDS) == set(PARTITIONERS)
         assert sum(len(dataclasses.fields(opts_cls))
-                   for _, opts_cls in PARTITIONERS.values()) == 73
+                   for _, opts_cls in PARTITIONERS.values()) == 72
 
     @pytest.mark.parametrize(("method", "name"), REMOVED_FIELDS)
     def test_removed_field_is_an_unknown_option(self, grid, method, name):
